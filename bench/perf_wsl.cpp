@@ -6,12 +6,15 @@
 // is at its largest (the factorial regime the ROADMAP warns about).
 // Counters expose the solver-call and memo-cache behaviour so the bench
 // history records WHY a run got faster, not just that it did.
+// BM_WslAlg2Tree / BM_WslAlg2Witness compare the tree search with the
+// witness-first check on the same sweep-shaped Algorithm 2 histories.
 #include <benchmark/benchmark.h>
 
 #include "checker/wsl_checker.hpp"
 #include "history/history.hpp"
 #include "sim/adversary.hpp"
 #include "sim/scheduler.hpp"
+#include "sweep/scenario.hpp"
 
 namespace {
 
@@ -164,6 +167,48 @@ void BM_WslBranchingTree(benchmark::State& state) {
   state.counters["solver_calls"] = static_cast<double>(solver_calls);
 }
 BENCHMARK(BM_WslBranchingTree)->Arg(2)->Arg(3)->Arg(4);
+
+/// The sweep's own Algorithm 2 scenario (random adversary, seed 0) at
+/// `processes` writers × `writes` writes each, plus a read per process:
+/// the recorded history and Algorithm 3's witness for it.
+sweep::RecordedRun alg2_run(int processes, int writes) {
+  sweep::Scenario s;
+  s.algorithm = sweep::Algorithm::kAlg2;
+  s.processes = processes;
+  s.writes_per_process = writes;
+  sweep::RecordedRun rec;
+  (void)sweep::run_scenario_recorded(s, rec);
+  return rec;
+}
+
+/// The witness-free tree search on Alg2 histories (the pre-witness
+/// sweep's WSL check).
+void BM_WslAlg2Tree(benchmark::State& state) {
+  const sweep::RecordedRun rec = alg2_run(static_cast<int>(state.range(0)),
+                                          static_cast<int>(state.range(1)));
+  run_wsl(state, rec.history, {});
+}
+
+/// The same histories checked witness-first with Algorithm 3's write
+/// order: one exact-order probe per response or commit.
+void BM_WslAlg2Witness(benchmark::State& state) {
+  const sweep::RecordedRun rec = alg2_run(static_cast<int>(state.range(0)),
+                                          static_cast<int>(state.range(1)));
+  bool verified = false;
+  for (auto _ : state) {
+    const auto r =
+        checker::check_write_strong_linearizable(rec.history, *rec.witness);
+    benchmark::DoNotOptimize(r.ok);
+    verified = r.witness == checker::WslWitnessOutcome::kVerified;
+  }
+  state.counters["probes"] = static_cast<double>(
+      checker::verify_wsl_witness(rec.history, *rec.witness).probes);
+  state.SetLabel(std::to_string(rec.history.size()) + " ops, " +
+                 (verified ? "witness verified" : "fell back"));
+}
+
+BENCHMARK(BM_WslAlg2Tree)->Args({3, 2})->Args({4, 4})->Args({5, 8});
+BENCHMARK(BM_WslAlg2Witness)->Args({3, 2})->Args({4, 4})->Args({5, 8});
 
 }  // namespace
 

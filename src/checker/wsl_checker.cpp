@@ -352,4 +352,95 @@ WslCheckResult check_write_strong_linearizable(const History& run,
   return check_write_strong_linearizable(std::vector<History>{run}, options);
 }
 
+WslWitnessCheck verify_wsl_witness(const History& run,
+                                   const WslWitness& witness) {
+  WslWitnessCheck out;
+  const auto reject = [&out](const std::string& why) {
+    out.rejection = why;
+    return out;
+  };
+
+  // Histories the tree search refuses (it throws) are left to it.
+  const std::vector<OpRecord>& ops = run.ops();
+  if (ops.size() > 64) return reject("history has more than 64 ops");
+  for (const OpRecord& a : ops) {
+    if (a.reg != ops.front().reg) return reject("history spans registers");
+    for (const OpRecord& b : ops) {
+      if (a.process == b.process && a.invoke < b.invoke && !a.precedes(b)) {
+        return reject("process p" + std::to_string(a.process) +
+                      " has overlapping operations");
+      }
+    }
+  }
+
+  // Witness shape.
+  std::uint64_t seen = 0;
+  Time last = 0;
+  for (const WslWitness::Commit& c : witness.commits) {
+    const auto bad = [&c, &reject](const char* why) {
+      return reject("op" + std::to_string(c.op) + why);
+    };
+    if (c.op < 0 || c.op >= static_cast<int>(ops.size())) {
+      return bad(" is out of range");
+    }
+    const OpRecord& w = ops[static_cast<std::size_t>(c.op)];
+    if (!w.is_write()) return bad(" is not a write");
+    if ((seen & (1ULL << c.op)) != 0) return bad(" is committed twice");
+    seen |= 1ULL << c.op;
+    if (c.time < w.invoke) return bad(" is committed before invoked");
+    if (c.time < last) return bad(": commit times decrease");
+    last = c.time;
+  }
+
+  // One pass over the event-prefixes G_k: S_k grows by appending the
+  // commits at or before t_k; probe where feasibility can change.
+  LinProblem problem;
+  problem.history = &run;
+  problem.mode = WriteOrderMode::kExact;
+  std::size_t probed = 0;  // |S| at the last probe (the empty S holds at G_0)
+  for (const Event& ev : run.events()) {
+    while (problem.exact_write_order.size() < witness.commits.size() &&
+           witness.commits[problem.exact_write_order.size()].time <= ev.time) {
+      problem.exact_write_order.push_back(
+          witness.commits[problem.exact_write_order.size()].op);
+    }
+    if (ev.kind != Event::Kind::kResponse &&
+        problem.exact_write_order.size() == probed) {
+      continue;
+    }
+    problem.cutoff = ev.time;
+    probed = problem.exact_write_order.size();
+    ++out.probes;
+    if (!checker::feasible(problem)) {
+      std::ostringstream os;
+      os << "prefix up to t=" << ev.time
+         << " has no linearization with committed write order [";
+      for (std::size_t i = 0; i < probed; ++i) {
+        os << (i == 0 ? "" : ", ") << problem.exact_write_order[i];
+      }
+      os << ']';
+      return reject(os.str());
+    }
+  }
+  out.verified = true;
+  out.write_order = std::move(problem.exact_write_order);
+  return out;
+}
+
+WslCheckResult check_write_strong_linearizable(const History& run,
+                                               const WslWitness& witness,
+                                               const WslCheckOptions& options) {
+  WslWitnessCheck check = verify_wsl_witness(run, witness);
+  if (check.verified) {
+    WslCheckResult result;
+    result.ok = true;
+    result.witness = WslWitnessOutcome::kVerified;
+    result.write_orders.push_back(std::move(check.write_order));
+    return result;
+  }
+  WslCheckResult result = check_write_strong_linearizable(run, options);
+  result.witness = WslWitnessOutcome::kFallback;
+  return result;
+}
+
 }  // namespace rlt::checker

@@ -1,5 +1,6 @@
 #include "mp/f_star.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/assert.hpp"
@@ -73,6 +74,37 @@ SwmrWslCheck check_swmr_write_strong(const History& h) {
   }
   out.ok = true;
   return out;
+}
+
+std::optional<checker::WslWitness> swmr_wsl_witness(const History& h) {
+  std::vector<const OpRecord*> writes;
+  for (const OpRecord& op : h.ops()) {
+    if (!op.is_write()) continue;
+    if (!writes.empty() && op.process != writes.front()->process) {
+      return std::nullopt;
+    }
+    writes.push_back(&op);
+  }
+  std::sort(writes.begin(), writes.end(),
+            [](const OpRecord* a, const OpRecord* b) {
+              return a->invoke < b->invoke;
+            });
+  std::vector<history::Time> forced(writes.size() + 1, history::kNoTime);
+  for (std::size_t i = writes.size(); i-- > 0;) {
+    forced[i] = std::min(writes[i]->response, forced[i + 1]);
+    for (const OpRecord& r : h.ops()) {
+      if (r.is_read() && !r.pending() && r.value == writes[i]->value) {
+        forced[i] = std::min(forced[i], r.response);
+      }
+    }
+  }
+  checker::WslWitness witness;
+  for (std::size_t i = 0; i < writes.size(); ++i) {
+    if (forced[i] != history::kNoTime) {
+      witness.commits.push_back({writes[i]->id, forced[i]});
+    }
+  }
+  return witness;
 }
 
 }  // namespace rlt::mp

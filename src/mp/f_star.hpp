@@ -18,9 +18,11 @@
 // write sequences grow only by appending.
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "checker/lin_solver.hpp"
+#include "checker/wsl_checker.hpp"
 
 namespace rlt::mp {
 
@@ -42,5 +44,16 @@ struct SwmrWslCheck {
 /// duplicate values can make the write-identification ambiguous and the
 /// check conservative.
 [[nodiscard]] SwmrWslCheck check_swmr_write_strong(const history::History& h);
+
+/// f*'s write order as a witness for
+/// checker::check_write_strong_linearizable, computed in one pass:
+/// writes in invocation order (Observation 66), each committed once it
+/// is forced — at the earlier of its response and the first response of
+/// a completed read returning its value — or once a later write is
+/// forced, whichever comes first (f*(G) holds exactly the writes
+/// completed or read in G, and every write before them).  Writes never
+/// forced are left out.  std::nullopt when `h` has more than one writer.
+[[nodiscard]] std::optional<checker::WslWitness> swmr_wsl_witness(
+    const history::History& h);
 
 }  // namespace rlt::mp

@@ -24,6 +24,8 @@ constexpr std::array<MetricInfo, kNumCounters> kCounterInfo{{
     {"checker.prune_doomed", true},
     {"checker.prune_eager_read", true},
     {"checker.prune_accept", true},
+    {"checker.wsl_witness_verified", true},
+    {"checker.wsl_witness_fallback", true},
     {"wsl.solver_calls", true},
     {"wsl.cache_hits", true},
     {"wsl.cache_misses", true},

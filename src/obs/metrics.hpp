@@ -48,7 +48,12 @@ enum class Counter : int {
   kCheckerPruneDoomed,    // doomed-state prune fired
   kCheckerPruneEagerRead, // eager-read dominance restriction applied
   kCheckerPruneAccept,    // accept-shortcut discharged a subtree
-  // WSL tree checker (absorbed from WslCheckResult).
+  // WSL checks handed a witness (src/checker/wsl_checker.hpp): verified
+  // outright, or rejected and decided by the tree search.
+  kWslWitnessVerified,
+  kWslWitnessFallback,
+  // WSL tree search (absorbed from WslCheckResult; witness checks that
+  // verify add nothing here).
   kWslSolverCalls,
   kWslCacheHits,
   kWslCacheMisses,

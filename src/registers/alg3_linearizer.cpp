@@ -29,6 +29,7 @@ std::vector<int> val_write_order(const Alg2Trace& trace) {
 Alg3Result run_alg3(const Alg2Trace& trace) {
   // ---- Lines 1-20: linearization of write operations ----
   std::vector<int> ws;  // trace write indices, linearized order
+  std::vector<Time> ws_time;  // parallel: the t_i that appended each
   std::vector<bool> in_ws(trace.writes.size(), false);
 
   for (const int wi_idx : val_write_order(trace)) {
@@ -73,6 +74,7 @@ Alg3Result run_alg3(const Alg2Trace& trace) {
     });
     for (const Candidate& c : bi) {
       ws.push_back(c.idx);
+      ws_time.push_back(ti);
       in_ws[static_cast<std::size_t>(c.idx)] = true;
     }
     RLT_CHECK_MSG(in_ws[static_cast<std::size_t>(wi_idx)],
@@ -80,43 +82,59 @@ Alg3Result run_alg3(const Alg2Trace& trace) {
   }
 
   // ---- Lines 21-32: linearization of read operations ----
-  // Group completed reads by the timestamp of the value they returned
-  // (timestamps identify writes uniquely, Observation 24).
-  std::map<std::string, std::vector<int>> groups;  // ts key -> read indices
+  // Each completed read goes right after the write that published the
+  // timestamp it returned — timestamps identify writes uniquely
+  // (Observation 24) — and reads of the initial value ([0 … 0]) go first
+  // (line 26); reads of one write are ordered by start time.
+  std::vector<std::vector<int>> reads_of(trace.writes.size());
+  std::vector<int> initial_reads;
+  const VectorTs initial_ts = VectorTs::zeros(trace.n);
   for (std::size_t r = 0; r < trace.reads.size(); ++r) {
-    groups[trace.reads[r].ts.to_string()].push_back(static_cast<int>(r));
+    const VectorTs& ts = trace.reads[r].ts;
+    if (ts == initial_ts) {
+      initial_reads.push_back(static_cast<int>(r));
+      continue;
+    }
+    for (std::size_t w = 0; w < trace.writes.size(); ++w) {
+      if (trace.writes[w].final_ts == ts) {
+        reads_of[w].push_back(static_cast<int>(r));
+        break;
+      }
+    }
   }
-  for (auto& [key, reads] : groups) {
+
+  Alg3Result result;
+  const auto place_reads = [&](std::vector<int>& reads) {
     std::sort(reads.begin(), reads.end(), [&trace](int a, int b) {
       return trace.reads[static_cast<std::size_t>(a)].start <
              trace.reads[static_cast<std::size_t>(b)].start;
     });
-  }
-
-  Alg3Result result;
-  // Reads of the initial value (timestamp [0 … 0]) come first (line 26).
-  const std::string initial_key = VectorTs::zeros(trace.n).to_string();
-  if (const auto it = groups.find(initial_key); it != groups.end()) {
-    for (const int r : it->second) {
+    for (const int r : reads) {
       result.sequence.push_back(
           trace.reads[static_cast<std::size_t>(r)].hl_op_id);
     }
-  }
+  };
+  place_reads(initial_reads);
   // Each write, followed by the reads that returned its value
   // (lines 28-29: after w, before any subsequent write).
-  for (const int w : ws) {
-    const Alg2WriteTrace& wt = trace.writes[static_cast<std::size_t>(w)];
+  for (std::size_t i = 0; i < ws.size(); ++i) {
+    const Alg2WriteTrace& wt = trace.writes[static_cast<std::size_t>(ws[i])];
     result.sequence.push_back(wt.hl_op_id);
     result.write_sequence.push_back(wt.hl_op_id);
-    if (const auto it = groups.find(wt.final_ts.to_string());
-        it != groups.end()) {
-      for (const int r : it->second) {
-        result.sequence.push_back(
-            trace.reads[static_cast<std::size_t>(r)].hl_op_id);
-      }
-    }
+    result.commit_times.push_back(ws_time[i]);
+    place_reads(reads_of[static_cast<std::size_t>(ws[i])]);
   }
   return result;
+}
+
+checker::WslWitness alg3_wsl_witness(const Alg2Trace& trace) {
+  const Alg3Result alg3 = run_alg3(trace);
+  checker::WslWitness witness;
+  witness.commits.reserve(alg3.write_sequence.size());
+  for (std::size_t i = 0; i < alg3.write_sequence.size(); ++i) {
+    witness.commits.push_back({alg3.write_sequence[i], alg3.commit_times[i]});
+  }
+  return witness;
 }
 
 Alg3Verification verify_alg3_wsl(const Alg2Trace& trace,

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "checker/spec.hpp"
+#include "checker/wsl_checker.hpp"
 #include "registers/alg2_register.hpp"
 
 namespace rlt::registers {
@@ -34,10 +35,19 @@ struct Alg3Result {
   std::vector<int> sequence;
   /// The write subsequence of `sequence` (hl op ids) — "WS".
   std::vector<int> write_sequence;
+  /// Parallel to `write_sequence`: the time t_i of the line-8 write whose
+  /// batch B_i appended the write to WS.  Non-decreasing.
+  std::vector<Time> commit_times;
 };
 
 /// Runs Algorithm 3 on an instrumentation trace.
 [[nodiscard]] Alg3Result run_alg3(const Alg2Trace& trace);
+
+/// Algorithm 3's write order with its commit times, as a witness for
+/// checker::check_write_strong_linearizable on the high-level history.
+/// One run serves every prefix: run_alg3 on the trace cut at t commits
+/// exactly the writes committed here at or before t (Claim 49.1).
+[[nodiscard]] checker::WslWitness alg3_wsl_witness(const Alg2Trace& trace);
 
 /// Verdict of the full Theorem 10 verification.
 struct Alg3Verification {

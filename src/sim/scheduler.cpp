@@ -176,6 +176,12 @@ void Scheduler::step_process(ProcessId p) {
   }
 }
 
+const checker::WslWitness& Scheduler::commit_log(RegId reg) const {
+  static const checker::WslWitness kNone;
+  const auto it = commit_logs_.find(reg);
+  return it != commit_logs_.end() ? it->second : kNone;
+}
+
 void Scheduler::respond_op(int op_id, const ResponseChoice& choice) {
   const auto reg_it = op_reg_.find(op_id);
   RLT_CHECK_MSG(reg_it != op_reg_.end(), "op " << op_id << " not pending");
@@ -185,6 +191,9 @@ void Scheduler::respond_op(int op_id, const ResponseChoice& choice) {
   const Time t = tick();
   const Value result = model(reg).on_respond(op_id, choice, t);
   recorder_.end_op(history::OpHandle{op_id}, result, t);
+  for (const int w : choice.commit_extension) {
+    commit_logs_[reg].commits.push_back({w, t});
+  }
   choice_cache_.erase(op_id);
   op_reg_.erase(op_id);
   op_owner_.erase(op_id);

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "checker/wsl_checker.hpp"
 #include "history/recorder.hpp"
 #include "sim/regmodel.hpp"
 #include "sim/task.hpp"
@@ -157,6 +158,13 @@ class Scheduler {
     return coins_;
   }
   [[nodiscard]] RegisterModel& model(RegId reg);
+  /// Register `reg`'s committed write order: each applied response
+  /// choice's `commit_extension`, committed at that response's time.
+  /// Append-only, so it outlives the model's window collapses; for a
+  /// write strongly-linearizable register it is the witness
+  /// checker::check_write_strong_linearizable verifies.  Empty for the
+  /// other models, which never commit.
+  [[nodiscard]] const checker::WslWitness& commit_log(RegId reg) const;
   [[nodiscard]] std::vector<PendingOpInfo> pending_ops() const;
 
   /// Response choices for a pending op (targeted query for scripted
@@ -214,6 +222,7 @@ class Scheduler {
   std::map<int, RegId> op_reg_;        ///< pending op -> register
   /// Cached response-choice menus per pending op (see choices_for).
   std::map<int, std::vector<ResponseChoice>> choice_cache_;
+  std::map<RegId, checker::WslWitness> commit_logs_;
   history::Recorder recorder_;
   std::vector<CoinRecord> coins_;
 };

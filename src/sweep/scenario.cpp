@@ -6,17 +6,20 @@
 #include <exception>
 #include <optional>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "checker/lin_checker.hpp"
 #include "checker/stream_checker.hpp"
 #include "checker/wsl_checker.hpp"
 #include "mp/abd.hpp"
+#include "mp/f_star.hpp"
 #include "mp/network.hpp"
 #include "obs/forensics.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 #include "registers/alg2_register.hpp"
+#include "registers/alg3_linearizer.hpp"
 #include "registers/alg4_register.hpp"
 #include "sim/adversary.hpp"
 #include "sim/schedule_policy.hpp"
@@ -130,7 +133,7 @@ SimDrive drive_sim(const Scenario& s, sim::Scheduler& sched,
 /// crash or a budget is checked on its completed prefix with the
 /// stranded ops as overlays.
 void check_history(const History& h, bool expect_wsl, bool online,
-                   ScenarioResult& out) {
+                   const checker::WslWitness* witness, ScenarioResult& out) {
   const checker::LinCheckResult lin = checker::check_linearizable(h);
   if (online) {
     // Differential gate: replay the history through the streaming
@@ -171,11 +174,18 @@ void check_history(const History& h, bool expect_wsl, bool online,
   }
   if (expect_wsl) {
     const checker::WslCheckResult wsl =
-        checker::check_write_strong_linearizable(h);
+        witness != nullptr
+            ? checker::check_write_strong_linearizable(h, *witness)
+            : checker::check_write_strong_linearizable(h);
     if (obs::enabled()) {
       obs::count(obs::Counter::kWslSolverCalls, wsl.solver_calls);
       obs::count(obs::Counter::kWslCacheHits, wsl.cache_hits);
       obs::count(obs::Counter::kWslCacheMisses, wsl.cache_misses);
+      if (wsl.witness == checker::WslWitnessOutcome::kVerified) {
+        obs::count(obs::Counter::kWslWitnessVerified);
+      } else if (wsl.witness == checker::WslWitnessOutcome::kFallback) {
+        obs::count(obs::Counter::kWslWitnessFallback);
+      }
     }
     if (!wsl.ok) {
       out.verdict = Verdict::kViolation;
@@ -187,8 +197,20 @@ void check_history(const History& h, bool expect_wsl, bool online,
   out.verdict = Verdict::kOk;
 }
 
+/// Hands the checkers' input to a RecordedRun (no-op when null).
+void record(RecordedRun* rec, const History& h, bool expect_wsl,
+            const checker::WslWitness* witness) {
+  if (rec == nullptr) return;
+  rec->history = h;
+  rec->expect_wsl = expect_wsl;
+  rec->witness.reset();
+  if (witness != nullptr) rec->witness = *witness;
+}
+
 void finish_sim(const Scenario& s, sim::Scheduler& sched, const SimDrive& d,
-                const History& h, bool expect_wsl, ScenarioResult& out) {
+                const History& h, bool expect_wsl,
+                const checker::WslWitness* witness, ScenarioResult& out,
+                RecordedRun* rec) {
   const bool online = s.online_check;
   out.steps = sched.actions_applied();
   out.ops = h.completed_count();
@@ -220,7 +242,8 @@ void finish_sim(const Scenario& s, sim::Scheduler& sched, const SimDrive& d,
       end_detail = std::string("run ended early: ") + sim::to_string(d.outcome);
     }
   }
-  classify_run(h, expect_wsl, end, end_detail, out, online);
+  record(rec, h, expect_wsl, witness);
+  classify_run(h, expect_wsl, end, end_detail, out, online, witness);
   if (s.forensics && out.verdict != Verdict::kOk) {
     // Sim families have no message substrate: the artifact carries the
     // op spans (stalled pending ops included) and, on violations, the
@@ -232,7 +255,7 @@ void finish_sim(const Scenario& s, sim::Scheduler& sched, const SimDrive& d,
 }
 
 void run_modeled(const Scenario& s, sim::SchedulePolicy* policy,
-                 ScenarioResult& out) {
+                 ScenarioResult& out, RecordedRun* rec) {
   sim::Scheduler sched(s.seed);
   sched.add_register(0, s.semantics, 0);
   for (int p = 0; p < s.processes; ++p) {
@@ -242,16 +265,17 @@ void run_modeled(const Scenario& s, sim::SchedulePolicy* policy,
     });
   }
   const SimDrive d = drive_sim(s, sched, policy);
-  finish_sim(s, sched, d, sched.global_history(),
-             s.semantics == sim::Semantics::kWriteStrong, out);
+  const bool wsl = s.semantics == sim::Semantics::kWriteStrong;
+  finish_sim(s, sched, d, sched.global_history(), wsl,
+             wsl ? &sched.commit_log(0) : nullptr, out, rec);
 }
 
-/// Drives Algorithm 2 (`expect_wsl=true`, per Theorem 10) or Algorithm 4
-/// (`expect_wsl=false`: Theorem 13 denies WSL as a set property, so only
-/// plain linearizability is asserted per run).
+/// Drives Algorithm 2 (WSL asserted per Theorem 10, with Algorithm 3's
+/// write order as the witness) or Algorithm 4 (Theorem 13 denies WSL as
+/// a set property, so only plain linearizability is asserted per run).
 template <class Reg>
-void run_implemented(const Scenario& s, bool expect_wsl,
-                     sim::SchedulePolicy* policy, ScenarioResult& out) {
+void run_implemented(const Scenario& s, sim::SchedulePolicy* policy,
+                     ScenarioResult& out, RecordedRun* rec) {
   sim::Scheduler sched(s.seed);
   Reg reg(sched, s.processes, /*first_base=*/100, /*initial=*/0);
   for (int p = 0; p < s.processes; ++p) {
@@ -262,7 +286,13 @@ void run_implemented(const Scenario& s, bool expect_wsl,
                       });
   }
   const SimDrive d = drive_sim(s, sched, policy);
-  finish_sim(s, sched, d, reg.hl_history(), expect_wsl, out);
+  if constexpr (std::is_same_v<Reg, registers::SimAlg2Register>) {
+    const checker::WslWitness witness =
+        registers::alg3_wsl_witness(reg.trace());
+    finish_sim(s, sched, d, reg.hl_history(), true, &witness, out, rec);
+  } else {
+    finish_sim(s, sched, d, reg.hl_history(), false, nullptr, out, rec);
+  }
 }
 
 /// A node's crash moment, decided up front from the scenario's FaultPlan.
@@ -469,7 +499,7 @@ AbdFaultFabric plan_fabric(const Scenario& s, mp::Network& net) {
 }
 
 void run_abd(const Scenario& s, sim::SchedulePolicy* policy,
-             ScenarioResult& out) {
+             ScenarioResult& out, RecordedRun* rec) {
   // Node 0 is the (single) writer; every node finishes with reads.  The
   // per-node programs are fixed; the adversary controls when operations
   // start and in which order messages are delivered, and the fault plan
@@ -856,7 +886,11 @@ void run_abd(const Scenario& s, sim::SchedulePolicy* policy,
   // write strongly-linearizable, so both checks must pass — on every
   // exit path, so a violation in a blocked or budget-exhausted schedule
   // is never masked by the early-exit classification.
-  classify_run(h, /*expect_wsl=*/true, end, end_detail, out, s.online_check);
+  const std::optional<checker::WslWitness> witness = mp::swmr_wsl_witness(h);
+  const checker::WslWitness* w = witness ? &*witness : nullptr;
+  record(rec, h, /*expect_wsl=*/true, w);
+  classify_run(h, /*expect_wsl=*/true, end, end_detail, out, s.online_check,
+               w);
   if (s.forensics && out.verdict != Verdict::kOk) {
     obs::ForensicsCapture cap;
     cap.timeline = &timeline;
@@ -962,7 +996,7 @@ std::string Scenario::key() const {
 
 void classify_run(const History& h, bool expect_wsl, RunEnd end,
                   const std::string& end_detail, ScenarioResult& out,
-                  bool online) {
+                  bool online, const checker::WslWitness* witness) {
   // Attributes the checker's share of the scenario wall time on every
   // exit path (check_ns <= wall_ns; measured, never digest material).
   struct CheckTimer {
@@ -989,7 +1023,7 @@ void classify_run(const History& h, bool expect_wsl, RunEnd end,
     if (ops_on_reg > 64) checkable = false;
   }
   if (checkable) {
-    check_history(h, expect_wsl, online, out);
+    check_history(h, expect_wsl, online, witness, out);
     if (out.verdict == Verdict::kViolation) {
       // The violation wins; keep the early-exit context for diagnosis.
       if (!end_detail.empty()) out.detail += " [" + end_detail + "]";
@@ -1047,7 +1081,8 @@ std::uint64_t hash_history(const History& h) {
 namespace {
 
 ScenarioResult run_scenario_impl(const Scenario& s,
-                                 sim::SchedulePolicy* policy) {
+                                 sim::SchedulePolicy* policy,
+                                 RecordedRun* rec) {
   ScenarioResult out;
   const auto t0 = std::chrono::steady_clock::now();
   try {
@@ -1072,18 +1107,16 @@ ScenarioResult run_scenario_impl(const Scenario& s,
                   "driving the ABD family");
     switch (s.algorithm) {
       case Algorithm::kModeled:
-        run_modeled(s, policy, out);
+        run_modeled(s, policy, out, rec);
         break;
       case Algorithm::kAlg2:
-        run_implemented<registers::SimAlg2Register>(s, /*expect_wsl=*/true,
-                                                    policy, out);
+        run_implemented<registers::SimAlg2Register>(s, policy, out, rec);
         break;
       case Algorithm::kAlg4:
-        run_implemented<registers::SimAlg4Register>(s, /*expect_wsl=*/false,
-                                                    policy, out);
+        run_implemented<registers::SimAlg4Register>(s, policy, out, rec);
         break;
       case Algorithm::kAbd:
-        run_abd(s, policy, out);
+        run_abd(s, policy, out, rec);
         break;
     }
   } catch (const std::exception& e) {
@@ -1107,12 +1140,17 @@ ScenarioResult run_scenario_impl(const Scenario& s,
 }  // namespace
 
 ScenarioResult run_scenario(const Scenario& s) {
-  return run_scenario_impl(s, nullptr);
+  return run_scenario_impl(s, nullptr, nullptr);
 }
 
 ScenarioResult run_scenario_policy(const Scenario& s,
                                    sim::SchedulePolicy& schedule) {
-  return run_scenario_impl(s, &schedule);
+  return run_scenario_impl(s, &schedule, nullptr);
+}
+
+ScenarioResult run_scenario_recorded(const Scenario& s,
+                                     RecordedRun& recorded) {
+  return run_scenario_impl(s, nullptr, &recorded);
 }
 
 }  // namespace rlt::sweep

@@ -16,17 +16,20 @@
 //  * kModeled — processes operate directly on one *modeled* register
 //    (sim/regmodel.hpp); the `semantics` axis selects atomic /
 //    linearizable / write strongly-linearizable behaviour.  Checked with
-//    `check_linearizable`, plus the WSL tree checker when the model
-//    promises write strong-linearizability.
+//    `check_linearizable`, plus the WSL checker when the model promises
+//    write strong-linearizability (witness: the model's commit log).
 //  * kAlg2 — the paper's Algorithm 2 (vector-timestamp WSL MWMR register
 //    from atomic SWMR bases).  Checked linearizable AND write strongly
-//    linearizable (Theorem 10).
+//    linearizable (Theorem 10; witness: Algorithm 3's write order).
 //  * kAlg4 — Algorithm 4 (Lamport-clock register): linearizable
 //    (Theorem 12) but not WSL, so only `check_linearizable` applies.
 //  * kAbd — the ABD message-passing register driven by a seeded delivery
 //    schedule.  Checked linearizable (its histories are also WSL by
-//    Theorem 14, and we check that too: single-writer runs keep the tree
-//    search tiny).
+//    Theorem 14, and we check that too; witness: the f* write order).
+//
+// Each WSL check verifies the family's witness first and runs the tree
+// search only when the witness fails (checker/wsl_checker.hpp), so
+// verdicts are those of the tree search alone.
 //
 // The fault axis (`FaultPlan`).  kMinorityCrash applies to kAbd: the
 // paper's termination results live in the regime where a minority of
@@ -71,6 +74,8 @@
 #include <string>
 #include <string_view>
 
+#include "checker/wsl_checker.hpp"
+#include "history/history.hpp"
 #include "sim/regmodel.hpp"
 
 namespace rlt::sim {
@@ -269,6 +274,19 @@ struct ScenarioResult {
 [[nodiscard]] ScenarioResult run_scenario_policy(const Scenario& s,
                                                  sim::SchedulePolicy& schedule);
 
+/// What a scenario handed its checkers: the recorded history, whether
+/// write strong-linearizability was asserted, and the family's witness.
+struct RecordedRun {
+  history::History history;
+  bool expect_wsl = false;
+  std::optional<checker::WslWitness> witness;
+};
+
+/// run_scenario that also hands back what the run recorded (differential
+/// tests of the checkers on the sweep's own histories).
+[[nodiscard]] ScenarioResult run_scenario_recorded(const Scenario& s,
+                                                   RecordedRun& recorded);
+
 /// Folds the checker verdicts on the recorded history together with how
 /// the run ended into `out.verdict`/`out.detail`.  The checkers run on
 /// EVERY exit path — a violation recorded before the run stalled or ran
@@ -278,10 +296,13 @@ struct ScenarioResult {
 /// the early exit (empty for kCompleted).  With `online`, the streaming
 /// checker replays the history event-by-event and any disagreement with
 /// the batch verdict classifies kError; on agreement the result is
-/// byte-identical to an offline classification.
+/// byte-identical to an offline classification.  A non-null `witness`
+/// is verified before the WSL tree search, which then runs only if the
+/// witness fails; the verdict is the same either way.
 void classify_run(const history::History& h, bool expect_wsl, RunEnd end,
                   const std::string& end_detail, ScenarioResult& out,
-                  bool online = false);
+                  bool online = false,
+                  const checker::WslWitness* witness = nullptr);
 
 /// Deterministic 64-bit fingerprint of a history (op tuples in id order).
 /// Covers invocation-only (pending) ops too — their invocation time and

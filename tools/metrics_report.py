@@ -12,7 +12,8 @@ then one line per histogram with its non-zero power-of-two buckets.
 
 Render mode prints the counters/gauges grouped by subsystem prefix,
 histograms as bucket rows, and a few derived rates (memo hit rate,
-prune fraction, wsl cache hit rate, network delivery rate).
+prune fraction, wsl witness fallback share, wsl cache hit rate, network
+delivery rate).
 
 Diff mode prints old/new/delta/pct for every metric present in either
 dump.  With --threshold P, stable counters whose relative change
@@ -76,6 +77,10 @@ def derived(scalars):
         ("checker prune fraction",
          rate(g("checker.prune_doomed", 0) + g("checker.prune_eager_read", 0)
               + g("checker.prune_accept", 0), g("checker.dfs_nodes", 0))),
+        ("wsl witness fallback share",
+         rate(g("checker.wsl_witness_fallback", 0),
+              g("checker.wsl_witness_verified", 0)
+              + g("checker.wsl_witness_fallback", 0))),
         ("wsl cache hit rate",
          rate(g("wsl.cache_hits", 0),
               g("wsl.cache_hits", 0) + g("wsl.cache_misses", 0))),

@@ -182,6 +182,25 @@ def main():
                   f"{args.straggler_factor}x fastest shard "
                   f"{min(finished_in):.1f}s total", file=sys.stderr)
 
+    readers = {}       # index -> read end of the shard's progress pipe
+
+    def read_progress(reader, i):
+        """Reports one line from shard i's pipe; False once it is closed."""
+        if reader.closed:
+            return False
+        line = reader.readline()
+        if not line:  # EOF: the shard closed its end
+            sel.unregister(reader)
+            reader.close()
+            return False
+        try:
+            d = json.loads(line)
+        except ValueError:
+            return True
+        if d.get("obs") == "progress":
+            report(i, d)
+        return True
+
     def reap(i, proc, rc):
         nonlocal hard_failed
         if args.progress:
@@ -220,8 +239,8 @@ def main():
                     pass_fds=(progress_wfd,) if args.progress else ())
                 if args.progress:
                     os.close(progress_wfd)
-                    reader = os.fdopen(rfd, "r")
-                    sel.register(reader, selectors.EVENT_READ, i)
+                    readers[i] = os.fdopen(rfd, "r")
+                    sel.register(readers[i], selectors.EVENT_READ, i)
                     started_at[i] = time.monotonic()
                 running[proc.pid] = (i, proc)
                 print(f"[sweep_shard] shard {i}/{args.shards} started "
@@ -238,20 +257,14 @@ def main():
             # the writer's next emit or its exit-side EOF), then reap
             # any shards that exited.
             for key, _ in sel.select(timeout=0.5):
-                line = key.fileobj.readline()
-                if not line:  # EOF: the shard closed its end
-                    sel.unregister(key.fileobj)
-                    key.fileobj.close()
-                    continue
-                try:
-                    d = json.loads(line)
-                except ValueError:
-                    continue
-                if d.get("obs") == "progress":
-                    report(key.data, d)
+                read_progress(key.fileobj, key.data)
             for pid in [p for p, (_, pr) in running.items()
                         if pr.poll() is not None]:
                 i, proc = running.pop(pid)
+                # The shard may have written its last lines after the
+                # select above: drain its pipe to EOF before reaping.
+                while read_progress(readers[i], i):
+                    pass
                 if not reap(i, proc, proc.returncode):
                     return 2
 
