@@ -17,7 +17,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include "sim/regmodel.hpp"
 #include "sweep/fnv.hpp"
+#include "sweep/scenario.hpp"
 #include "sweep/shard.hpp"
 #include "sweep/sweep.hpp"
 #include "util/assert.hpp"
@@ -153,5 +155,37 @@ BENCHMARK(BM_SweepSharded)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(
     benchmark::kMillisecond);
 
 }  // namespace
+
+/// One modeled-register family under the random adversary, run through
+/// run_scenario (w2, seeds 0..99 per iteration): the register models'
+/// solver-window probes during simulation plus the checks.  Range arg:
+/// process count.
+void BM_ModeledScenario(benchmark::State& state, sim::Semantics semantics) {
+  constexpr std::uint64_t kSeeds = 100;
+  sweep::Scenario s;
+  s.algorithm = sweep::Algorithm::kModeled;
+  s.semantics = semantics;
+  s.adversary = sweep::AdversaryKind::kRandom;
+  s.processes = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+      s.seed = seed;
+      const sweep::ScenarioResult r = sweep::run_scenario(s);
+      RLT_CHECK_MSG(r.verdict == sweep::Verdict::kOk,
+                    s.key() << ": " << r.detail);
+      benchmark::DoNotOptimize(r.history_hash);
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kSeeds));
+}
+BENCHMARK_CAPTURE(BM_ModeledScenario, lin, sim::Semantics::kLinearizable)
+    ->Arg(3)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ModeledScenario, wsl, sim::Semantics::kWriteStrong)
+    ->Arg(3)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -15,7 +15,7 @@ namespace {
 
 using history::HistoryView;
 
-/// Dense per-solve view of the history plus constraint bookkeeping.
+/// Per-probe solver state: the per-op tables plus constraint bookkeeping.
 ///
 /// Everything the DFS consults per node is precomputed here at context
 /// build time:
@@ -29,14 +29,21 @@ using history::HistoryView;
 ///    value-independent; kExact restricts to the next write of the exact
 ///    order, whose index the DFS threads down instead of recomputing).
 struct SolveContext {
-  HistoryView view;
   WriteOrderMode mode = WriteOrderMode::kFree;
-  const std::vector<int>* exact = nullptr;  // op ids, kExact only
+  std::span<const int> exact;        // op ids, kExact only
+  std::uint64_t included_mask = 0;   // ops present in the problem
   std::uint64_t completed_mask = 0;  // ops that must be placed
   std::uint64_t must_place_mask = 0; // completed + listed pending writes
   std::uint64_t placeable_mask = 0;  // ops that may ever be placed
   std::uint64_t write_mask = 0;      // placeable writes
-  std::uint64_t all_writes_mask = 0; // every write included in the view
+  std::uint64_t all_writes_mask = 0; // every included write
+  /// Per op id: written value, or returned value of a completed read.
+  std::array<Value, 64> value{};
+  /// Per op id: invocation time.
+  std::array<Time, 64> invoke{};
+  /// Per op id: response time (completion overlay applied); kNoTime while
+  /// pending.  The accept shortcut orders remaining free-mode writes by it.
+  std::array<Time, 64> resp{};
   /// Per op id: completed predecessors.  Inline (no heap): n <= 64.
   std::array<std::uint64_t, 64> pred{};
   /// Placeable reads grouped by returned value, sorted by value; inline.
@@ -46,17 +53,13 @@ struct SolveContext {
   /// Consulted by the doomed-state prune.
   std::array<std::pair<Value, std::uint64_t>, 64> writes_by_value{};
   int nwrite_groups = 0;
-  /// Response time of every completed op (completion overlay applied);
-  /// the accept shortcut orders remaining free-mode writes by it.
-  std::array<Time, 64> resp{};
   /// kExact only: exact_suffix[i] = ops of exact[i..] as a bitmask — the
   /// writes still placeable once `exact_next` reaches `i`.
   std::array<std::uint64_t, 65> exact_suffix{};
   bool prune = true;
-  /// Allowed pre-history values: caller-supplied list, or the register's
-  /// initial value.
-  const std::vector<Value>* initials = nullptr;
-  Value single_initial = 0;
+  /// Allowed pre-history values.
+  std::span<const Value> initials;
+  Value single_initial = 0;  // backs `initials` when the caller gave none
   int n = 0;
 
   /// Search statistics, tallied locally (plain increments on this
@@ -160,8 +163,8 @@ struct SolveContext {
                                          int exact_next) const noexcept {
     std::uint64_t cand = reads_of(value);
     if (mode == WriteOrderMode::kExact) {
-      if (exact_next < static_cast<int>(exact->size())) {
-        cand |= 1ULL << (*exact)[static_cast<std::size_t>(exact_next)];
+      if (exact_next < static_cast<int>(exact.size())) {
+        cand |= 1ULL << exact[static_cast<std::size_t>(exact_next)];
       }
     } else {
       cand |= write_mask;
@@ -219,8 +222,8 @@ struct SolveContext {
     if (mode == WriteOrderMode::kExact) {
       std::uint64_t m = mask;
       for (std::size_t i = static_cast<std::size_t>(exact_next);
-           i < exact->size(); ++i) {
-        const int w_id = (*exact)[i];
+           i < exact.size(); ++i) {
+        const int w_id = exact[i];
         if ((pred[static_cast<std::size_t>(w_id)] & ~m) != 0) return false;
         m |= 1ULL << w_id;
         if (order != nullptr) order->push_back(w_id);
@@ -252,106 +255,82 @@ struct SolveContext {
   }
 };
 
-SolveContext make_context(const LinProblem& problem) {
-  RLT_CHECK(problem.history != nullptr);
-  const History& h = *problem.history;
-  const auto reg = single_register_of(h);
-  RLT_CHECK_MSG(h.size() <= 64, "solver supports at most 64 ops, got "
-                                    << h.size());
-  SolveContext ctx;
-  ctx.view = HistoryView(h, problem.cutoff);
-  ctx.mode = problem.mode;
-  ctx.n = static_cast<int>(h.size());
-  ctx.prune = problem.prune;
-  if (problem.initial_values.has_value()) {
-    RLT_CHECK_MSG(!problem.initial_values->empty(),
-                  "initial_values must not be empty when supplied");
-    ctx.initials = &*problem.initial_values;
-  } else {
-    ctx.single_initial = h.initial(reg);
-  }
+/// The shared context tail: given the per-op tables (value, invoke,
+/// resp, pred for every included op, plus the included / completed /
+/// write masks), applies the completion overlay and builds the
+/// write-order masks and value groups.  Both the batch builder and
+/// LinWindow end here.
+void finish_context(SolveContext& ctx, WriteOrderMode mode,
+                    std::span<const int> exact,
+                    const LinProblem::Completion* completion, bool prune) {
+  ctx.mode = mode;
+  ctx.exact = exact;
+  ctx.prune = prune;
+  RLT_CHECK_MSG(!ctx.initials.empty(),
+                "initial_values must not be empty when supplied");
 
   // Completion overlay: one pending op is treated as completed.
-  const int cop = problem.completion ? problem.completion->op_id : -1;
-  if (problem.completion) {
+  if (completion != nullptr) {
+    const int cop = completion->op_id;
     RLT_CHECK_MSG(cop >= 0 && cop < ctx.n, "completion op id out of range");
-    RLT_CHECK_MSG(ctx.view.included(cop) && !ctx.view.completed(cop),
+    const std::uint64_t bit = 1ULL << cop;
+    RLT_CHECK_MSG((ctx.included_mask & bit) != 0 &&
+                      (ctx.completed_mask & bit) == 0,
                   "completion overlay must name an op pending in the view");
-    RLT_CHECK_MSG(problem.completion->response > ctx.view.invoke(cop),
+    const auto c = static_cast<std::size_t>(cop);
+    RLT_CHECK_MSG(completion->response > ctx.invoke[c],
                   "completion response not after invocation");
-  }
-  const auto completed = [&ctx, cop](int id) {
-    return id == cop || ctx.view.completed(id);
-  };
-  const auto response_of = [&ctx, cop, &problem](int id) {
-    return id == cop ? problem.completion->response : ctx.view.response(id);
-  };
-
-  for (int id = 0; id < ctx.n; ++id) {
-    if (!ctx.view.included(id)) continue;
-    const std::uint64_t bit = 1ULL << id;
-    if (ctx.view.is_write(id)) ctx.all_writes_mask |= bit;
-    if (completed(id)) {
-      ctx.completed_mask |= bit;
-      ctx.resp[static_cast<std::size_t>(id)] = response_of(id);
-      if (ctx.view.is_read(id)) ctx.placeable_mask |= bit;
-    }
-  }
-  ctx.must_place_mask = ctx.completed_mask;
-
-  ctx.exact = &problem.exact_write_order;
-  if (problem.mode == WriteOrderMode::kExact) {
-    std::uint64_t exact_seen = 0;
-    for (const int id : *ctx.exact) {
-      RLT_CHECK_MSG(id >= 0 && id < ctx.n, "exact order op id out of range");
-      RLT_CHECK_MSG(ctx.view.is_write(id),
-                    "exact order contains non-write op" << id);
-      RLT_CHECK_MSG(ctx.view.included(id),
-                    "exact order op" << id << " not invoked within the view");
-      const std::uint64_t bit = 1ULL << id;
-      RLT_CHECK_MSG((exact_seen & bit) == 0, "exact order repeats op" << id);
-      exact_seen |= bit;
-      ctx.placeable_mask |= bit;
-      ctx.must_place_mask |= bit;
-      ctx.write_mask |= bit;
-    }
-    for (std::size_t i = ctx.exact->size(); i-- > 0;) {
-      ctx.exact_suffix[i] =
-          ctx.exact_suffix[i + 1] | (1ULL << (*ctx.exact)[i]);
-    }
-  } else {
-    for (int id = 0; id < ctx.n; ++id) {
-      if (ctx.view.included(id) && ctx.view.is_write(id)) {
-        const std::uint64_t bit = 1ULL << id;
-        ctx.placeable_mask |= bit;
-        ctx.write_mask |= bit;
+    ctx.completed_mask |= bit;
+    ctx.resp[c] = completion->response;
+    if ((ctx.all_writes_mask & bit) == 0) ctx.value[c] = completion->value;
+    std::uint64_t later = ctx.included_mask & ~bit;
+    while (later != 0) {
+      const int o = std::countr_zero(later);
+      later &= later - 1;
+      if (completion->response < ctx.invoke[static_cast<std::size_t>(o)]) {
+        ctx.pred[static_cast<std::size_t>(o)] |= bit;
       }
     }
   }
+  ctx.must_place_mask = ctx.completed_mask;
+  ctx.placeable_mask = ctx.completed_mask & ~ctx.all_writes_mask;
 
-  // Predecessor bitmasks: pred[o] = completed ops responding before o's
-  // invocation.  Only completed ops ever block placement.
-  for (int o = 0; o < ctx.n; ++o) {
-    if ((ctx.placeable_mask & (1ULL << o)) == 0) continue;
-    std::uint64_t preds = 0;
-    std::uint64_t comp = ctx.completed_mask & ~(1ULL << o);
-    while (comp != 0) {
-      const int q = std::countr_zero(comp);
-      comp &= comp - 1;
-      if (response_of(q) < ctx.view.invoke(o)) preds |= 1ULL << q;
+  if (mode == WriteOrderMode::kExact) {
+    std::uint64_t exact_seen = 0;
+    for (const int id : exact) {
+      RLT_CHECK_MSG(id >= 0 && id < ctx.n, "exact order op id out of range");
+      const std::uint64_t bit = 1ULL << id;
+      RLT_CHECK_MSG((ctx.included_mask & bit) != 0,
+                    "exact order op" << id << " not invoked within the view");
+      RLT_CHECK_MSG((ctx.all_writes_mask & bit) != 0,
+                    "exact order contains non-write op" << id);
+      RLT_CHECK_MSG((exact_seen & bit) == 0, "exact order repeats op" << id);
+      exact_seen |= bit;
     }
-    ctx.pred[static_cast<std::size_t>(o)] = preds;
+    ctx.placeable_mask |= exact_seen;
+    ctx.must_place_mask |= exact_seen;
+    ctx.write_mask = exact_seen;
+    for (std::size_t i = exact.size(); i-- > 0;) {
+      ctx.exact_suffix[i] = ctx.exact_suffix[i + 1] | (1ULL << exact[i]);
+    }
+  } else {
+    ctx.write_mask = ctx.all_writes_mask;
+    ctx.placeable_mask |= ctx.write_mask;
   }
 
   // Ops grouped by value (sorted, deduplicated): placeable reads for
   // candidate generation, placeable writes for the doomed-state prune.
   // Tiny arrays: insertion sort beats std::sort's dispatch overhead.
   const auto group_by_value =
-      [](std::array<std::pair<Value, std::uint64_t>, 64>& groups,
-         int ngroups) {
-        for (int i = 1; i < ngroups; ++i) {
-          auto entry = groups[static_cast<std::size_t>(i)];
-          int j = i - 1;
+      [&ctx](std::array<std::pair<Value, std::uint64_t>, 64>& groups,
+             std::uint64_t ops) {
+        int ngroups = 0;
+        while (ops != 0) {
+          const int id = std::countr_zero(ops);
+          ops &= ops - 1;
+          const std::pair<Value, std::uint64_t> entry{
+              ctx.value[static_cast<std::size_t>(id)], 1ULL << id};
+          int j = ngroups - 1;
           while (j >= 0 &&
                  groups[static_cast<std::size_t>(j)].first > entry.first) {
             groups[static_cast<std::size_t>(j + 1)] =
@@ -359,6 +338,7 @@ SolveContext make_context(const LinProblem& problem) {
             --j;
           }
           groups[static_cast<std::size_t>(j + 1)] = entry;
+          ++ngroups;
         }
         int w = 0;
         for (int r = 1; r < ngroups; ++r) {
@@ -373,25 +353,81 @@ SolveContext make_context(const LinProblem& problem) {
         }
         return ngroups == 0 ? 0 : w + 1;
       };
-  int ngroups = 0;
-  std::uint64_t reads = ctx.placeable_mask & ~ctx.write_mask;
-  while (reads != 0) {
-    const int id = std::countr_zero(reads);
-    reads &= reads - 1;
-    const Value v = id == cop ? problem.completion->value : ctx.view.value(id);
-    ctx.reads_by_value[static_cast<std::size_t>(ngroups++)] = {v, 1ULL << id};
+  ctx.nread_groups = group_by_value(ctx.reads_by_value,
+                                    ctx.placeable_mask & ~ctx.write_mask);
+  ctx.nwrite_groups = group_by_value(ctx.writes_by_value, ctx.write_mask);
+}
+
+/// Batch builder: the per-op tables of an arbitrary history under a
+/// cutoff, predecessor masks in O(n^2).
+void build_context(SolveContext& ctx, const LinProblem& problem) {
+  RLT_CHECK(problem.history != nullptr);
+  const History& h = *problem.history;
+  const auto reg = single_register_of(h);
+  RLT_CHECK_MSG(h.size() <= 64, "solver supports at most 64 ops, got "
+                                    << h.size());
+  const HistoryView view(h, problem.cutoff);
+  ctx.n = static_cast<int>(h.size());
+  for (int id = 0; id < ctx.n; ++id) {
+    if (!view.included(id)) continue;
+    const auto i = static_cast<std::size_t>(id);
+    const std::uint64_t bit = 1ULL << id;
+    ctx.included_mask |= bit;
+    ctx.value[i] = view.value(id);
+    ctx.invoke[i] = view.invoke(id);
+    ctx.resp[i] = view.response(id);
+    if (view.is_write(id)) ctx.all_writes_mask |= bit;
+    if (view.completed(id)) ctx.completed_mask |= bit;
   }
-  ctx.nread_groups = group_by_value(ctx.reads_by_value, ngroups);
-  ngroups = 0;
-  std::uint64_t writes = ctx.write_mask;
-  while (writes != 0) {
-    const int id = std::countr_zero(writes);
-    writes &= writes - 1;
-    ctx.writes_by_value[static_cast<std::size_t>(ngroups++)] = {
-        ctx.view.value(id), 1ULL << id};
+  // Predecessor bitmasks: pred[o] = completed ops responding before o's
+  // invocation.  Only completed ops ever block placement.
+  std::uint64_t ops = ctx.included_mask;
+  while (ops != 0) {
+    const int o = std::countr_zero(ops);
+    ops &= ops - 1;
+    std::uint64_t preds = 0;
+    std::uint64_t comp = ctx.completed_mask & ~(1ULL << o);
+    while (comp != 0) {
+      const int q = std::countr_zero(comp);
+      comp &= comp - 1;
+      if (ctx.resp[static_cast<std::size_t>(q)] <
+          ctx.invoke[static_cast<std::size_t>(o)]) {
+        preds |= 1ULL << q;
+      }
+    }
+    ctx.pred[static_cast<std::size_t>(o)] = preds;
   }
-  ctx.nwrite_groups = group_by_value(ctx.writes_by_value, ngroups);
-  return ctx;
+  if (problem.initial_values.has_value()) {
+    ctx.initials = *problem.initial_values;
+  } else {
+    ctx.single_initial = h.initial(reg);
+    ctx.initials = {&ctx.single_initial, 1};
+  }
+  finish_context(ctx, problem.mode, problem.exact_write_order,
+                 problem.completion ? &*problem.completion : nullptr,
+                 problem.prune);
+}
+
+/// Window builder: copies the window's incrementally kept tables, O(n).
+void build_context(SolveContext& ctx, std::span<const LinWindow::Op> ops,
+                   std::uint64_t completed, std::span<const Value> initials,
+                   WriteOrderMode mode, std::span<const int> exact,
+                   const LinProblem::Completion* completion, bool prune) {
+  RLT_CHECK_MSG(ops.size() <= 64, "solver supports at most 64 ops, got "
+                                      << ops.size());
+  ctx.n = static_cast<int>(ops.size());
+  ctx.included_mask = ctx.n == 64 ? ~0ULL : (1ULL << ctx.n) - 1;
+  ctx.completed_mask = completed;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const LinWindow::Op& op = ops[i];
+    ctx.value[i] = op.value;
+    ctx.invoke[i] = op.invoke;
+    ctx.resp[i] = op.response;
+    ctx.pred[i] = op.pred;
+    if (op.write) ctx.all_writes_mask |= 1ULL << i;
+  }
+  ctx.initials = initials;
+  finish_context(ctx, mode, exact, completion, prune);
 }
 
 /// True iff the kExact constraints are not already unsatisfiable: every
@@ -465,8 +501,9 @@ bool dfs(SolveContext& ctx, std::uint64_t mask, Value value, int exact_next,
   while (cand != 0) {
     const int id = std::countr_zero(cand);
     cand &= cand - 1;
-    const bool is_write = ctx.view.is_write(id);
-    const Value next_value = is_write ? ctx.view.value(id) : value;
+    const bool is_write = (ctx.all_writes_mask >> id) & 1U;
+    const Value next_value =
+        is_write ? ctx.value[static_cast<std::size_t>(id)] : value;
     const int next_exact =
         exact_next + (is_write && ctx.mode == WriteOrderMode::kExact ? 1 : 0);
     if constexpr (M == DfsMode::kFindOne) {
@@ -485,13 +522,6 @@ bool dfs(SolveContext& ctx, std::uint64_t mask, Value value, int exact_next,
   return false;
 }
 
-/// Allowed pre-history values of a built context, as a span (no copy).
-std::span<const Value> initials_of(const SolveContext& ctx) {
-  if (ctx.initials != nullptr) return {ctx.initials->data(),
-                                       ctx.initials->size()};
-  return {&ctx.single_initial, 1};
-}
-
 /// Flushes one solver entry's tallies to the metrics registry on every
 /// exit path.  The tallies themselves are plain members of the on-stack
 /// context, so the solver's hot path never touches the registry.
@@ -508,15 +538,39 @@ struct StatFlush {
   }
 };
 
+/// Feasibility of a built context: one solver entry.
+bool run_feasible(SolveContext& ctx) {
+  const StatFlush flush{ctx};
+  if (!exact_order_covers_completed(ctx)) return false;
+  for (const Value init : ctx.initials) {
+    if (dfs<DfsMode::kFindOne>(ctx, 0, init, 0, nullptr, nullptr)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Feasible final values of a built context: one solver entry.
+std::set<Value> run_final_values(SolveContext& ctx) {
+  const StatFlush flush{ctx};
+  std::set<Value> out;
+  if (!exact_order_covers_completed(ctx)) return out;
+  for (const Value init : ctx.initials) {
+    (void)dfs<DfsMode::kEnumerateFinals>(ctx, 0, init, 0, nullptr, &out);
+  }
+  return out;
+}
+
 }  // namespace
 
 LinSolution solve(const LinProblem& problem) {
-  SolveContext ctx = make_context(problem);
+  SolveContext ctx;
+  build_context(ctx, problem);
   const StatFlush flush{ctx};
   LinSolution out;
   if (!exact_order_covers_completed(ctx)) return out;
 
-  for (const Value init : initials_of(ctx)) {
+  for (const Value init : ctx.initials) {
     std::vector<int> order;
     if (dfs<DfsMode::kFindOne>(ctx, 0, init, 0, &order, nullptr)) {
       out.ok = true;
@@ -524,7 +578,9 @@ LinSolution solve(const LinProblem& problem) {
       out.initial_used = init;
       out.final_value = init;
       for (const int id : out.order) {
-        if (ctx.view.is_write(id)) out.final_value = ctx.view.value(id);
+        if ((ctx.all_writes_mask >> id) & 1U) {
+          out.final_value = ctx.value[static_cast<std::size_t>(id)];
+        }
       }
       return out;
     }
@@ -533,26 +589,72 @@ LinSolution solve(const LinProblem& problem) {
 }
 
 bool feasible(const LinProblem& problem) {
-  SolveContext ctx = make_context(problem);
-  const StatFlush flush{ctx};
-  if (!exact_order_covers_completed(ctx)) return false;
-  for (const Value init : initials_of(ctx)) {
-    if (dfs<DfsMode::kFindOne>(ctx, 0, init, 0, nullptr, nullptr)) {
-      return true;
-    }
-  }
-  return false;
+  SolveContext ctx;
+  build_context(ctx, problem);
+  return run_feasible(ctx);
 }
 
 std::set<Value> feasible_final_values(const LinProblem& problem) {
-  SolveContext ctx = make_context(problem);
-  const StatFlush flush{ctx};
-  std::set<Value> out;
-  if (!exact_order_covers_completed(ctx)) return out;
-  for (const Value init : initials_of(ctx)) {
-    (void)dfs<DfsMode::kEnumerateFinals>(ctx, 0, init, 0, nullptr, &out);
-  }
-  return out;
+  SolveContext ctx;
+  build_context(ctx, problem);
+  return run_final_values(ctx);
+}
+
+void LinWindow::reset(std::span<const Value> initials) {
+  RLT_CHECK_MSG(!initials.empty(), "a window needs an initial value");
+  ops_.clear();
+  initials_.assign(initials.begin(), initials.end());
+  completed_ = 0;
+}
+
+int LinWindow::invoke(bool is_write, Value value, Time t) {
+  RLT_CHECK_MSG(!any_event_ || t > last_,
+                "window event times must increase (t=" << t << " after t="
+                                                       << last_ << ")");
+  last_ = t;
+  any_event_ = true;
+  Op op;
+  op.value = is_write ? value : Value{0};
+  op.invoke = t;
+  op.pred = completed_;  // every completed op responded before now
+  op.write = is_write;
+  ops_.push_back(op);
+  return size() - 1;
+}
+
+void LinWindow::respond(int id, Value value, Time t) {
+  RLT_CHECK_MSG(id >= 0 && id < size(), "window op id out of range: " << id);
+  Op& op = ops_[static_cast<std::size_t>(id)];
+  RLT_CHECK_MSG(op.response == history::kNoTime,
+                "op completed twice: op" << id);
+  RLT_CHECK_MSG(t > last_, "window event times must increase (t="
+                               << t << " after t=" << last_ << ")");
+  last_ = t;
+  op.response = t;
+  if (!op.write) op.value = value;
+  // Later invocations see this op as a predecessor; earlier ones do not.
+  if (id < 64) completed_ |= 1ULL << id;
+}
+
+const LinWindow::Op& LinWindow::op(int id) const {
+  RLT_CHECK_MSG(id >= 0 && id < size(), "window op id out of range: " << id);
+  return ops_[static_cast<std::size_t>(id)];
+}
+
+bool LinWindow::feasible(WriteOrderMode mode, std::span<const int> exact,
+                         const Completion* completion) const {
+  SolveContext ctx;
+  build_context(ctx, ops_, completed_, initials_, mode, exact, completion,
+                prune_);
+  return run_feasible(ctx);
+}
+
+std::set<Value> LinWindow::final_values(WriteOrderMode mode,
+                                        std::span<const int> exact) const {
+  SolveContext ctx;
+  build_context(ctx, ops_, completed_, initials_, mode, exact, nullptr,
+                prune_);
+  return run_final_values(ctx);
 }
 
 }  // namespace rlt::checker

@@ -25,11 +25,26 @@
 // `feasible_final_values`, used by the simulator to collapse quiescent
 // history).
 //
-// Fast path: the context build precomputes per-op predecessor bitmasks,
-// so the availability rule above costs one AND per candidate per DFS
-// node, and groups placeable reads by returned value, so candidate
-// generation is a table lookup instead of an O(n) scan.  Both solvers
-// share one DFS core over (placed-set, register-value) states.
+// Context build.  Every entry point fills one set of per-op tables —
+// value, write bit, response time and completed-predecessor mask — and
+// hands them to a single context builder that adds the constraints of
+// the probe: the completion overlay, the write-order mode's masks and the
+// value groups.  The availability rule above then costs one AND per
+// candidate per DFS node, and candidate generation is a table lookup
+// instead of an O(n) scan.  The DFS reads values and kinds from the
+// context only.  Both solvers share one DFS core over (placed-set,
+// register-value) states.  Where the tables come from:
+//  * the batch entry points (`solve`, `feasible`, `feasible_final_values`)
+//    take any history with a cutoff and compute the predecessor masks in
+//    O(n^2) per call;
+//  * `LinWindow` keeps them incrementally for a history that grows one
+//    event at a time: an invocation's predecessors are the ops completed
+//    before it, and a response changes no existing predecessor set, so
+//    each event costs O(1) (amortized) and each probe builds its context
+//    from the tables in O(n), with no history lookups and no copy of the
+//    write order or the initial values.  The simulator's register
+//    models, the WSL witness verifier and the streaming checker probe
+//    through windows.
 //
 // Dominance pruning (`LinProblem::prune`, on by default) cuts between
 // DFS extension orders without changing any verdict or final-value set:
@@ -49,8 +64,10 @@
 // practical ceiling moves from ~6 writers per register to 10+.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "checker/spec.hpp"
@@ -137,5 +154,73 @@ struct LinSolution {
 /// history at quiescent points: the returned set becomes the next window's
 /// `initial_values`.
 [[nodiscard]] std::set<Value> feasible_final_values(const LinProblem& problem);
+
+/// A single-register history that grows one event at a time, with the
+/// solver's per-op tables kept up to date (see file comment).  Op ids are
+/// window ids: 0, 1, ... in invocation order.  Event times must strictly
+/// increase.  Probes answer the same questions as the batch entry points
+/// on the equivalent `LinProblem` (the window as a history, `initials()`
+/// as its allowed initial values), and each flushes one solver call.
+class LinWindow {
+ public:
+  using Completion = LinProblem::Completion;
+
+  /// `prune`: dominance pruning in every probe (see LinProblem::prune).
+  explicit LinWindow(bool prune = true) : prune_(prune) {}
+
+  /// Drops every op; the register may hold any of `initials` (non-empty)
+  /// before the window's first write.  Event times keep increasing
+  /// across resets.
+  void reset(std::span<const Value> initials);
+
+  /// Appends an op invoked at `t`; returns its window id.  `value` is the
+  /// written value (ignored for reads).
+  int invoke(bool is_write, Value value, Time t);
+
+  /// Completes pending op `id` at `t` (reads: returning `value`).
+  void respond(int id, Value value, Time t);
+
+  [[nodiscard]] int size() const noexcept {
+    return static_cast<int>(ops_.size());
+  }
+  [[nodiscard]] bool empty() const noexcept { return ops_.empty(); }
+  [[nodiscard]] bool is_write(int id) const { return op(id).write; }
+  /// Written value, or the returned value of a completed read.
+  [[nodiscard]] Value value(int id) const { return op(id).value; }
+  [[nodiscard]] const std::vector<Value>& initials() const noexcept {
+    return initials_;
+  }
+
+  /// Does a legal linearization exist (with pending op
+  /// `completion->op_id` treated as completed, if given)?  Throws
+  /// util::InvariantViolation beyond 64 ops.
+  [[nodiscard]] bool feasible(WriteOrderMode mode, std::span<const int> exact,
+                              const Completion* completion = nullptr) const;
+
+  /// feasible_final_values on the window.
+  [[nodiscard]] std::set<Value> final_values(
+      WriteOrderMode mode, std::span<const int> exact) const;
+
+  /// One op's row of the solver tables.
+  struct Op {
+    Value value = 0;
+    Time invoke = 0;
+    Time response = history::kNoTime;
+    /// Completed ops whose response precedes this op's invocation (ids
+    /// below 64 only: a larger window fails every probe anyway).
+    std::uint64_t pred = 0;
+    bool write = false;
+  };
+
+ private:
+  [[nodiscard]] const Op& op(int id) const;
+
+  std::vector<Op> ops_;
+  std::vector<Value> initials_{0};
+  std::uint64_t completed_ = 0;  ///< completed ops among ids < 64
+  Time last_ = 0;                ///< time of the latest event
+  bool any_event_ = false;
+  bool prune_ = true;
+};
 
 }  // namespace rlt::checker

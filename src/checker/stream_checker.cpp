@@ -8,7 +8,6 @@
 namespace rlt::checker {
 
 using history::Event;
-using history::kNoTime;
 using history::OpRecord;
 using history::ProcessId;
 using history::RegisterId;
@@ -28,27 +27,17 @@ void StreamingChecker::set_initial(RegisterId reg, Value v) {
 StreamingChecker::Lane& StreamingChecker::lane_for(RegisterId reg) {
   const auto it = lanes_.find(reg);
   if (it != lanes_.end()) return it->second;
-  Lane& lane = lanes_[reg];
+  Lane& lane = lanes_.emplace(reg, Lane{LinWindow(options_.prune)})
+                   .first->second;
   const auto cfg = initial_config_.find(reg);
-  lane.initials = {cfg != initial_config_.end() ? cfg->second : Value{0}};
+  const Value initial = cfg != initial_config_.end() ? cfg->second : Value{0};
+  lane.window.reset({&initial, 1});
   return lane;
 }
 
-bool StreamingChecker::window_feasible(const Lane& lane) {
-  LinProblem p;
-  p.history = &lane.window;
-  p.initial_values = lane.initials;
-  p.prune = options_.prune;
-  ++solver_calls_;
-  return feasible(p);
-}
-
 void StreamingChecker::collapse(Lane& lane) {
-  LinProblem p;
-  p.history = &lane.window;
-  p.initial_values = lane.initials;
-  p.prune = options_.prune;
-  std::set<Value> finals = feasible_final_values(p);
+  const std::set<Value> finals =
+      lane.window.final_values(WriteOrderMode::kFree, {});
   // The per-event invariant (reads checked at response, invocations and
   // write responses cannot flip feasibility) makes an empty set
   // impossible here; treat it as the violation it would denote anyway
@@ -58,18 +47,19 @@ void StreamingChecker::collapse(Lane& lane) {
     return;
   }
   ++collapses_;
-  retired_ops_ += lane.window.size();
-  live_ops_ -= lane.window.size();
-  lane.window = History();
-  lane.initials.assign(finals.begin(), finals.end());
+  const auto retired = static_cast<std::size_t>(lane.window.size());
+  retired_ops_ += retired;
+  live_ops_ -= retired;
+  const std::vector<Value> initials(finals.begin(), finals.end());
+  lane.window.reset(initials);
 }
 
 void StreamingChecker::fail_limit(const std::string& what) {
   if (error_.empty()) error_ = what;
 }
 
-int StreamingChecker::on_invoke(ProcessId process, RegisterId reg, OpKind kind,
-                                Value value, Time now) {
+int StreamingChecker::on_invoke(ProcessId /*process*/, RegisterId reg,
+                                OpKind kind, Value value, Time now) {
   const int id = next_id_++;
   ++events_;
   if (frozen()) return id;
@@ -84,21 +74,15 @@ int StreamingChecker::on_invoke(ProcessId process, RegisterId reg, OpKind kind,
   saw_event_ = true;
 
   Lane& lane = lane_for(reg);
-  if (lane.window.size() >= options_.max_live_ops) {
+  if (static_cast<std::size_t>(lane.window.size()) >= options_.max_live_ops) {
     std::ostringstream os;
     os << "register " << reg << " live window would exceed "
        << options_.max_live_ops << " ops (no quiescent point to retire at)";
     fail_limit(os.str());
     return id;
   }
-  OpRecord op;
-  op.process = process;
-  op.reg = reg;
-  op.kind = kind;
-  op.value = kind == OpKind::kWrite ? value : Value{0};
-  op.invoke = now;
-  op.response = kNoTime;
-  const int window_id = lane.window.add(op);
+  const int window_id =
+      lane.window.invoke(kind == OpKind::kWrite, value, now);
   open_ops_[id] = OpenRef{reg, window_id};
   ++lane.open;
   ++live_ops_;
@@ -130,15 +114,18 @@ void StreamingChecker::on_response(int id, Value result, Time now) {
   const OpenRef ref = ref_it->second;
   open_ops_.erase(ref_it);
   Lane& lane = lanes_.at(ref.reg);
-  lane.window.complete_op(ref.window_id, result, now);
+  lane.window.respond(ref.window_id, result, now);
   --lane.open;
 
   // Only a read response can make a feasible window infeasible: the
   // response is the latest event in the window, so a newly completed
   // write appends to any existing witness unchanged.
-  if (lane.window.op(ref.window_id).is_read() && !window_feasible(lane)) {
-    violation_event_ = static_cast<std::int64_t>(events_) - 1;
-    return;
+  if (!lane.window.is_write(ref.window_id)) {
+    ++solver_calls_;
+    if (!lane.window.feasible(WriteOrderMode::kFree, {})) {
+      violation_event_ = static_cast<std::int64_t>(events_) - 1;
+      return;
+    }
   }
   // Quiescent point: every window op precedes every future op on this
   // register — retire the window behind the frontier.

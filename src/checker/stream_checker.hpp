@@ -7,9 +7,10 @@
 // invocation/response events one at a time (strictly increasing times)
 // and maintains, per register, an incremental frontier:
 //
-//  * a live *window* of operations not yet provably linearized — a plain
-//    `History` restricted to that register, fed to the backtracking
-//    solver (`lin_solver.hpp`) with the window's allowed initial values;
+//  * a live *window* of operations not yet provably linearized — a
+//    `LinWindow` (`lin_solver.hpp`) that keeps the backtracking solver's
+//    per-op tables as events arrive, with the window's allowed initial
+//    values;
 //  * a set of allowed *initial values* summarizing everything behind the
 //    frontier: exactly the feasible final register values of the retired
 //    prefix (`feasible_final_values`).
@@ -117,18 +118,16 @@ class StreamingChecker {
  private:
   /// Per-register incremental frontier.
   struct Lane {
-    History window;                 ///< Ops not yet retired (base reg ids).
-    std::vector<Value> initials;    ///< Allowed pre-window values.
-    int open = 0;                   ///< Invoked-but-unresponded window ops.
+    LinWindow window;  ///< Ops not yet retired, and pre-window values.
+    int open = 0;      ///< Invoked-but-unresponded window ops.
   };
   struct OpenRef {
     history::RegisterId reg = -1;
-    int window_id = -1;  ///< Op id within the lane's window history.
+    int window_id = -1;  ///< Op id within the lane's window.
   };
 
   [[nodiscard]] bool frozen() const noexcept { return !ok(); }
   Lane& lane_for(history::RegisterId reg);
-  [[nodiscard]] bool window_feasible(const Lane& lane);
   void collapse(Lane& lane);
   void fail_limit(const std::string& what);
 

@@ -365,6 +365,10 @@ WslWitnessCheck verify_wsl_witness(const History& run,
   if (ops.size() > 64) return reject("history has more than 64 ops");
   for (const OpRecord& a : ops) {
     if (a.reg != ops.front().reg) return reject("history spans registers");
+    if (!a.pending() && a.response <= a.invoke) {
+      return reject("op" + std::to_string(a.id) +
+                    " responds before it is invoked");
+    }
     for (const OpRecord& b : ops) {
       if (a.process == b.process && a.invoke < b.invoke && !a.precedes(b)) {
         return reject("process p" + std::to_string(a.process) +
@@ -392,38 +396,58 @@ WslWitnessCheck verify_wsl_witness(const History& run,
     last = c.time;
   }
 
-  // One pass over the event-prefixes G_k: S_k grows by appending the
-  // commits at or before t_k; probe where feasibility can change.
-  LinProblem problem;
-  problem.history = &run;
-  problem.mode = WriteOrderMode::kExact;
-  std::size_t probed = 0;  // |S| at the last probe (the empty S holds at G_0)
-  for (const Event& ev : run.events()) {
-    while (problem.exact_write_order.size() < witness.commits.size() &&
-           witness.commits[problem.exact_write_order.size()].time <= ev.time) {
-      problem.exact_write_order.push_back(
-          witness.commits[problem.exact_write_order.size()].op);
+  // One pass over the event-prefixes G_k, fed into a solver window one
+  // event at a time: S_k grows by appending the commits at or before t_k;
+  // probe where feasibility can change.
+  const std::vector<Event> events = run.events();
+  for (std::size_t i = 1; i < events.size(); ++i) {
+    if (events[i].time == events[i - 1].time) {
+      return reject("history has two events at t=" +
+                    std::to_string(events[i].time));
     }
-    if (ev.kind != Event::Kind::kResponse &&
-        problem.exact_write_order.size() == probed) {
+  }
+  LinWindow window;
+  if (!ops.empty()) {
+    const Value initial = run.initial(ops.front().reg);
+    window.reset({&initial, 1});
+  }
+  std::vector<int> window_id(ops.size(), -1);
+  std::vector<int> exact;  // S_k as window ids
+  std::size_t probed = 0;  // |S| at the last probe (the empty S holds at G_0)
+  for (const Event& ev : events) {
+    const OpRecord& op = ops[static_cast<std::size_t>(ev.op_id)];
+    if (ev.kind == Event::Kind::kInvoke) {
+      window_id[static_cast<std::size_t>(ev.op_id)] =
+          window.invoke(op.is_write(), op.value, ev.time);
+    } else {
+      window.respond(window_id[static_cast<std::size_t>(ev.op_id)], op.value,
+                     ev.time);
+    }
+    while (exact.size() < witness.commits.size() &&
+           witness.commits[exact.size()].time <= ev.time) {
+      exact.push_back(window_id[static_cast<std::size_t>(
+          witness.commits[exact.size()].op)]);
+    }
+    if (ev.kind != Event::Kind::kResponse && exact.size() == probed) {
       continue;
     }
-    problem.cutoff = ev.time;
-    probed = problem.exact_write_order.size();
+    probed = exact.size();
     ++out.probes;
-    if (!checker::feasible(problem)) {
+    if (!window.feasible(WriteOrderMode::kExact, exact)) {
       std::ostringstream os;
       os << "prefix up to t=" << ev.time
          << " has no linearization with committed write order [";
       for (std::size_t i = 0; i < probed; ++i) {
-        os << (i == 0 ? "" : ", ") << problem.exact_write_order[i];
+        os << (i == 0 ? "" : ", ") << witness.commits[i].op;
       }
       os << ']';
       return reject(os.str());
     }
   }
   out.verified = true;
-  out.write_order = std::move(problem.exact_write_order);
+  for (std::size_t i = 0; i < exact.size(); ++i) {
+    out.write_order.push_back(witness.commits[i].op);
+  }
   return out;
 }
 

@@ -30,11 +30,11 @@ PendingOpInfo pending_of(Scheduler& sched, ProcessId p, int reg) {
 std::optional<ResponseChoice> choice_with_value(Scheduler& sched, int op_id,
                                                 sim::Value value) {
   std::optional<ResponseChoice> best;
-  for (ResponseChoice& c : sched.choices_for(op_id)) {
+  for (const ResponseChoice& c : sched.choices_for(op_id)) {
     if (c.value != value) continue;
     if (!best.has_value() ||
         c.commit_extension.size() < best->commit_extension.size()) {
-      best = std::move(c);
+      best = c;
     }
   }
   return best;
@@ -42,7 +42,7 @@ std::optional<ResponseChoice> choice_with_value(Scheduler& sched, int op_id,
 
 /// First (arbitrary legal) choice; used where the value is forced.
 ResponseChoice first_choice(Scheduler& sched, int op_id) {
-  auto choices = sched.choices_for(op_id);
+  const auto& choices = sched.choices_for(op_id);
   RLT_CHECK_MSG(!choices.empty(), "pending op " << op_id << " has no choices");
   // Prefer the smallest commitment, as above.
   auto it = std::min_element(choices.begin(), choices.end(),
@@ -51,7 +51,7 @@ ResponseChoice first_choice(Scheduler& sched, int op_id) {
                                return a.commit_extension.size() <
                                       b.commit_extension.size();
                              });
-  return std::move(*it);
+  return *it;
 }
 
 }  // namespace
@@ -127,15 +127,15 @@ sim::Generator<Action> GameScriptAdversary::script(Scheduler& sched) {
     }
     bool model_commits = false;  // WSL registers force a commitment here.
     {
-      std::vector<ResponseChoice> w0_choices = sched.choices_for(w0);
+      const std::vector<ResponseChoice>& w0_choices = sched.choices_for(w0);
       model_commits = std::any_of(
           w0_choices.begin(), w0_choices.end(),
           [](const ResponseChoice& c) { return !c.commit_extension.empty(); });
       std::optional<ResponseChoice> chosen;
-      for (ResponseChoice& c : w0_choices) {
+      for (const ResponseChoice& c : w0_choices) {
         if (!model_commits) {
           // Linearizable registers: responding a write decides nothing.
-          chosen = std::move(c);
+          chosen = c;
           break;
         }
         const bool commits_w0_only =
@@ -144,7 +144,7 @@ sim::Generator<Action> GameScriptAdversary::script(Scheduler& sched) {
             c.commit_extension.size() == 2 && c.commit_extension[0] == w1 &&
             c.commit_extension[1] == w0;
         if ((w0_first && commits_w0_only) || (!w0_first && commits_w1_first)) {
-          chosen = std::move(c);
+          chosen = c;
           break;
         }
       }

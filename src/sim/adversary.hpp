@@ -115,10 +115,9 @@ class StallingAdversary final : public Adversary {
     // Respond the oldest live-owned pending op first, first choice.
     for (const PendingOpInfo& info : sched.pending_ops()) {
       if (is_stalled(info.process)) continue;
-      auto choices = sched.choices_for(info.op_id);
+      const auto& choices = sched.choices_for(info.op_id);
       RLT_CHECK_MSG(!choices.empty(), "pending op with no choices");
-      return Action::respond(info.process, info.op_id,
-                             std::move(choices.front()));
+      return Action::respond(info.process, info.op_id, choices.front());
     }
     const int n = sched.process_count();
     for (int i = 0; i < n; ++i) {
@@ -148,10 +147,9 @@ class RoundRobinAdversary final : public Adversary {
     const auto pending = sched.pending_ops();
     if (!pending.empty()) {
       const PendingOpInfo& info = pending.front();
-      auto choices = sched.choices_for(info.op_id);
+      const auto& choices = sched.choices_for(info.op_id);
       RLT_CHECK_MSG(!choices.empty(), "pending op with no choices");
-      return Action::respond(info.process, info.op_id,
-                             std::move(choices.front()));
+      return Action::respond(info.process, info.op_id, choices.front());
     }
     const int n = sched.process_count();
     for (int i = 0; i < n; ++i) {

@@ -21,32 +21,20 @@ class LinearizableModel final : public WindowedModel {
  public:
   std::vector<ResponseChoice> response_choices(int op_id, Time now) override {
     const int wid = window_id_of(op_id);
-    const history::OpRecord& op = window().op(wid);
     std::vector<ResponseChoice> choices;
-    if (op.is_write()) {
+    if (window().is_write(wid)) {
       // Completing a write never constrains the past: every linearization
       // of the current window remains legal when the write's interval
       // closes now (the new response time only affects operations invoked
       // later).  One choice, no decision content.
-      ResponseChoice c;
-      c.value = op.value;
-      c.label = "complete-write";
-      choices.push_back(std::move(c));
+      choices.push_back(ResponseChoice{window().value(wid), {}});
       return choices;
     }
     // Reads: any value with a feasible linearization.
-    std::set<Value> candidates(initial_values().begin(),
-                               initial_values().end());
-    for (const history::OpRecord& w : window().ops()) {
-      if (w.is_write()) candidates.insert(w.value);
-    }
-    for (const Value v : candidates) {
+    for (const Value v : read_candidates()) {
       if (feasible_with_completion(wid, v, now,
                                    checker::WriteOrderMode::kFree, {})) {
-        ResponseChoice c;
-        c.value = v;
-        c.label = "read->" + std::to_string(v);
-        choices.push_back(std::move(c));
+        choices.push_back(ResponseChoice{v, {}});
       }
     }
     RLT_CHECK_MSG(!choices.empty(),
@@ -71,12 +59,12 @@ class LinearizableModel final : public WindowedModel {
                   "linearizable registers have no committed write order");
   }
 
-  void collapse_hook() override {
+  std::vector<Value> collapse_hook() override {
     const std::set<Value> finals =
         window_final_values(checker::WriteOrderMode::kFree, {});
     RLT_CHECK_MSG(!finals.empty(),
                   "quiescent window has no feasible final value — bug");
-    initial_values_.assign(finals.begin(), finals.end());
+    return {finals.begin(), finals.end()};
   }
 };
 

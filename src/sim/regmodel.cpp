@@ -9,20 +9,13 @@ namespace rlt::sim {
 
 void WindowedModel::set_initial(Value v) {
   RLT_CHECK_MSG(window_.empty(), "set_initial after operations began");
-  initial_values_ = {v};
-  window_.set_initial(0, v);
+  window_.reset({&v, 1});
 }
 
 std::optional<Value> WindowedModel::on_invoke(int op_id, ProcessId p,
                                               OpKind kind, Value value,
                                               Time now) {
-  history::OpRecord op;
-  op.process = p;
-  op.reg = 0;  // window histories are single-register by construction
-  op.kind = kind;
-  op.value = kind == OpKind::kWrite ? value : Value{0};
-  op.invoke = now;
-  const int wid = window_.add(op);
+  const int wid = window_.invoke(kind == OpKind::kWrite, value, now);
   RLT_CHECK_MSG(wid == static_cast<int>(window_to_global_.size()),
                 "window id bookkeeping out of sync");
   window_to_global_.push_back(op_id);
@@ -40,15 +33,14 @@ std::optional<Value> WindowedModel::on_invoke(int op_id, ProcessId p,
 Value WindowedModel::on_respond(int op_id, const ResponseChoice& choice,
                                 Time now) {
   const int wid = window_id_of(op_id);
-  const history::OpRecord op = window_.op(wid);
   apply_choice(wid, choice);
-  window_.complete_op(wid, choice.value, now);
+  window_.respond(wid, choice.value, now);
   const auto it =
       std::find_if(pending_.begin(), pending_.end(),
                    [op_id](const PendingOpInfo& p) { return p.op_id == op_id; });
   RLT_CHECK_MSG(it != pending_.end(), "responding to unknown op " << op_id);
   pending_.erase(it);
-  return op.is_write() ? op.value : choice.value;
+  return window_.value(wid);
 }
 
 const std::vector<PendingOpInfo>& WindowedModel::pending() const {
@@ -57,9 +49,7 @@ const std::vector<PendingOpInfo>& WindowedModel::pending() const {
 
 void WindowedModel::maybe_collapse() {
   if (!pending_.empty() || window_.empty()) return;
-  collapse_hook();
-  window_ = history::History{};
-  window_.set_initial(0, initial_values_.front());
+  window_.reset(collapse_hook());
   window_to_global_.clear();
 }
 
@@ -77,28 +67,20 @@ int WindowedModel::global_id_of(int window_id) const {
   return window_to_global_[static_cast<std::size_t>(window_id)];
 }
 
-std::set<Value> WindowedModel::window_final_values(
-    checker::WriteOrderMode mode, const std::vector<int>& exact) const {
-  checker::LinProblem problem;
-  problem.history = &window_;
-  problem.mode = mode;
-  problem.exact_write_order = exact;
-  problem.initial_values = initial_values_;
-  return checker::feasible_final_values(problem);
+std::set<Value> WindowedModel::read_candidates() const {
+  std::set<Value> out(initial_values().begin(), initial_values().end());
+  for (int id = 0; id < window_.size(); ++id) {
+    if (window_.is_write(id)) out.insert(window_.value(id));
+  }
+  return out;
 }
 
 bool WindowedModel::feasible_with_completion(
     int window_id, Value read_value, Time now, checker::WriteOrderMode mode,
-    const std::vector<int>& exact_window_order) const {
+    std::span<const int> exact_window_order) const {
   // What-if probe via the solver's completion overlay: no window copy.
-  checker::LinProblem problem;
-  problem.history = &window_;
-  problem.mode = mode;
-  problem.exact_write_order = exact_window_order;
-  problem.initial_values = initial_values_;
-  problem.completion =
-      checker::LinProblem::Completion{window_id, read_value, now};
-  return checker::feasible(problem);
+  const checker::LinWindow::Completion completion{window_id, read_value, now};
+  return window_.feasible(mode, exact_window_order, &completion);
 }
 
 std::optional<Value> AtomicModel::on_invoke(int /*op_id*/, ProcessId /*p*/,

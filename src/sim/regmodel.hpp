@@ -22,6 +22,11 @@
 // many same-register writes pending and uncommitted simultaneously
 // explode; adversaries should respond writes promptly (the paper's
 // schedules all do), and tests keep concurrent-writer counts small.
+// Each menu entry costs one solver probe on the model's
+// `checker::LinWindow`, which keeps the solver's per-op tables as events
+// arrive (O(1) per invocation or response), so a probe pays O(n) to set
+// up over an n-op window plus the search itself — no history copy and
+// no O(n^2) predecessor rebuild per entry.
 //
 // Models keep a *window* of recent operations plus a set of possible
 // pre-window values.  When a register becomes quiescent (no pending ops)
@@ -34,11 +39,12 @@
 
 #include <memory>
 #include <optional>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "checker/lin_solver.hpp"
-#include "history/history.hpp"
 #include "sim/types.hpp"
 
 namespace rlt::sim {
@@ -80,7 +86,7 @@ class RegisterModel {
 };
 
 /// Common machinery for interval-based models (linearizable and WSL):
-/// window history, id mapping, and quiescence collapsing.
+/// the solver window, id mapping, and quiescence collapsing.
 class WindowedModel : public RegisterModel {
  public:
   void set_initial(Value v) override;
@@ -95,35 +101,43 @@ class WindowedModel : public RegisterModel {
   /// The set of values the register may hold before the current window
   /// (singleton until a collapse preserves adversary freedom).
   [[nodiscard]] const std::vector<Value>& initial_values() const noexcept {
-    return initial_values_;
+    return window_.initials();
   }
 
  protected:
   /// Subclass hook: commitment bookkeeping etc. `window_id` is the op's
-  /// id inside `window_`.
+  /// id inside `window()`.
   virtual void apply_choice(int window_id, const ResponseChoice& choice) = 0;
 
-  /// Subclass hook called on collapse, before the window is cleared.
-  virtual void collapse_hook() = 0;
+  /// Subclass hook called on collapse, before the window is cleared:
+  /// returns the values the register may hold after the window.
+  [[nodiscard]] virtual std::vector<Value> collapse_hook() = 0;
 
-  /// Subclass access to the window.
-  [[nodiscard]] const history::History& window() const noexcept {
+  /// The register's operations since the last collapse, as the solver
+  /// window every probe runs on.
+  [[nodiscard]] const checker::LinWindow& window() const noexcept {
     return window_;
   }
   [[nodiscard]] int window_id_of(int global_op_id) const;
   [[nodiscard]] int global_id_of(int window_id) const;
 
+  /// Values a read may return: the pre-window values and every window
+  /// write's value.
+  [[nodiscard]] std::set<Value> read_candidates() const;
+
   /// Feasible final values of the current window under `mode`/`exact`.
   [[nodiscard]] std::set<Value> window_final_values(
-      checker::WriteOrderMode mode, const std::vector<int>& exact) const;
+      checker::WriteOrderMode mode, std::span<const int> exact) const {
+    return window_.final_values(mode, exact);
+  }
 
   /// Solves the window with an op hypothetically completed.
   [[nodiscard]] bool feasible_with_completion(
       int window_id, Value read_value, Time now, checker::WriteOrderMode mode,
-      const std::vector<int>& exact_window_order) const;
+      std::span<const int> exact_window_order) const;
 
-  history::History window_;
-  std::vector<Value> initial_values_{0};
+ private:
+  checker::LinWindow window_;
   std::vector<int> window_to_global_;   ///< window id -> global op id
   std::vector<PendingOpInfo> pending_;  ///< keyed by global op id
 };

@@ -83,7 +83,7 @@ std::vector<PendingOpInfo> Scheduler::pending_ops() const {
   return out;
 }
 
-std::vector<ResponseChoice> Scheduler::choices_for(int op_id) {
+const std::vector<ResponseChoice>& Scheduler::choices_for(int op_id) {
   const auto it = op_reg_.find(op_id);
   RLT_CHECK_MSG(it != op_reg_.end(), "op " << op_id << " is not pending");
   auto cached = choice_cache_.find(op_id);
@@ -114,9 +114,8 @@ std::vector<Action> Scheduler::enabled_actions() {
     }
   }
   for (const PendingOpInfo& info : pending_ops()) {
-    for (ResponseChoice& choice : choices_for(info.op_id)) {
-      actions.push_back(
-          Action::respond(info.process, info.op_id, std::move(choice)));
+    for (const ResponseChoice& choice : choices_for(info.op_id)) {
+      actions.push_back(Action::respond(info.process, info.op_id, choice));
     }
   }
   return actions;

@@ -176,8 +176,9 @@ class Scheduler {
   /// names the hypothetical response time, which is later than every
   /// recorded event either way, so it cannot change the menu.  The cache
   /// is invalidated whenever the register's model mutates (invoke,
-  /// respond, collapse).
-  [[nodiscard]] std::vector<ResponseChoice> choices_for(int op_id);
+  /// respond, collapse).  The returned menu lives in the cache: it stays
+  /// valid until the next applied action.
+  [[nodiscard]] const std::vector<ResponseChoice>& choices_for(int op_id);
 
   /// All enabled actions (steps of runnable processes + every response
   /// choice of every pending op).

@@ -2,7 +2,6 @@
 // choices exposed by register semantic models, pending-operation info.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "history/event.hpp"
@@ -25,7 +24,6 @@ using RegId = history::RegisterId;
 struct ResponseChoice {
   Value value = 0;
   std::vector<int> commit_extension;
-  std::string label;
 
   friend bool operator==(const ResponseChoice&,
                          const ResponseChoice&) = default;

@@ -30,41 +30,33 @@ class WslModel final : public WindowedModel {
  public:
   std::vector<ResponseChoice> response_choices(int op_id, Time now) override {
     const int wid = window_id_of(op_id);
-    const history::OpRecord& op = window().op(wid);
     std::vector<ResponseChoice> choices;
 
-    if (op.is_write()) {
-      if (std::find(committed_.begin(), committed_.end(), wid) !=
-          committed_.end()) {
+    if (window().is_write(wid)) {
+      const Value written = window().value(wid);
+      if (is_committed(wid)) {
         // Already committed (a read returned this write's value earlier
         // and forced the commitment).  Responding decides nothing more.
         RLT_CHECK_MSG(
-            feasible_with_completion(wid, op.value, now,
+            feasible_with_completion(wid, written, now,
                                      checker::WriteOrderMode::kExact,
                                      committed_),
             "WSL model: committed write response infeasible — bug");
-        ResponseChoice c;
-        c.value = op.value;
-        c.label = "complete-committed-write";
-        choices.push_back(std::move(c));
+        choices.push_back(ResponseChoice{written, {}});
         return choices;
       }
       // Enumerate ordered selections of uncommitted writes containing the
       // responding write; each selection is a candidate commitment batch.
+      std::vector<int> exact;
       for_each_selection(uncommitted_writes(), [&](const std::vector<int>& s) {
         if (std::find(s.begin(), s.end(), wid) == s.end()) return;
-        std::vector<int> exact = committed_;
-        exact.insert(exact.end(), s.begin(), s.end());
-        if (!feasible_with_completion(wid, op.value, now,
+        extend_committed(s, exact);
+        if (!feasible_with_completion(wid, written, now,
                                       checker::WriteOrderMode::kExact,
                                       exact)) {
           return;
         }
-        ResponseChoice c;
-        c.value = op.value;
-        c.commit_extension = to_global(s);
-        c.label = "commit" + render(s);
-        choices.push_back(std::move(c));
+        choices.push_back(ResponseChoice{written, to_global(s)});
       });
       RLT_CHECK_MSG(!choices.empty(),
                     "WSL model: write has no feasible commitment — bug");
@@ -73,24 +65,15 @@ class WslModel final : public WindowedModel {
 
     // Reads: (value, commitment extension) pairs.  The empty extension is
     // considered too (value determined by already-committed writes).
-    std::set<Value> candidates(initial_values().begin(),
-                               initial_values().end());
-    for (const history::OpRecord& w : window().ops()) {
-      if (w.is_write()) candidates.insert(w.value);
-    }
+    const std::set<Value> candidates = read_candidates();
+    std::vector<int> exact;
     const auto try_selection = [&](const std::vector<int>& s) {
-      std::vector<int> exact = committed_;
-      exact.insert(exact.end(), s.begin(), s.end());
+      extend_committed(s, exact);
       for (const Value v : candidates) {
         if (feasible_with_completion(wid, v, now,
                                      checker::WriteOrderMode::kExact,
                                      exact)) {
-          ResponseChoice c;
-          c.value = v;
-          c.commit_extension = to_global(s);
-          c.label = "read->" + std::to_string(v) +
-                    (s.empty() ? "" : " commit" + render(s));
-          choices.push_back(std::move(c));
+          choices.push_back(ResponseChoice{v, to_global(s)});
         }
       }
     };
@@ -115,70 +98,59 @@ class WslModel final : public WindowedModel {
     return os.str();
   }
 
-  /// The committed write order, as global history op ids (introspection
-  /// for adversaries and tests).
-  [[nodiscard]] std::vector<int> committed_global() const {
-    return to_global(committed_);
-  }
-
  protected:
   void apply_choice(int /*window_id*/, const ResponseChoice& choice) override {
     for (const int global : choice.commit_extension) {
       const int wid = window_id_of(global);
-      const history::OpRecord& op = window().op(wid);
-      RLT_CHECK_MSG(op.is_write(), "cannot commit a read");
-      RLT_CHECK_MSG(std::find(committed_.begin(), committed_.end(), wid) ==
-                        committed_.end(),
-                    "write committed twice");
+      RLT_CHECK_MSG(window().is_write(wid), "cannot commit a read");
+      RLT_CHECK_MSG(!is_committed(wid), "write committed twice");
       committed_.push_back(wid);
     }
   }
 
-  void collapse_hook() override {
+  std::vector<Value> collapse_hook() override {
     // At quiescence every write has responded, hence is committed.
     std::size_t write_count = 0;
-    for (const history::OpRecord& op : window().ops()) {
-      if (op.is_write()) ++write_count;
+    for (int id = 0; id < window().size(); ++id) {
+      if (window().is_write(id)) ++write_count;
     }
     RLT_CHECK_MSG(write_count == committed_.size(),
                   "quiescent WSL register with uncommitted writes — bug");
-    Value final_value = initial_values_.front();
-    RLT_CHECK_MSG(initial_values_.size() == 1,
+    RLT_CHECK_MSG(initial_values().size() == 1,
                   "WSL pre-window value must be determined");
-    if (!committed_.empty()) {
-      final_value = window().op(committed_.back()).value;
-    }
-    initial_values_ = {final_value};
+    const Value final_value = committed_.empty()
+                                  ? initial_values().front()
+                                  : window().value(committed_.back());
     committed_.clear();
+    return {final_value};
   }
 
  private:
+  [[nodiscard]] bool is_committed(int wid) const {
+    return std::find(committed_.begin(), committed_.end(), wid) !=
+           committed_.end();
+  }
+
   [[nodiscard]] std::vector<int> uncommitted_writes() const {
     std::vector<int> out;
-    for (const history::OpRecord& op : window().ops()) {
-      if (op.is_write() && std::find(committed_.begin(), committed_.end(),
-                                     op.id) == committed_.end()) {
-        out.push_back(op.id);
-      }
+    for (int id = 0; id < window().size(); ++id) {
+      if (window().is_write(id) && !is_committed(id)) out.push_back(id);
     }
     return out;
+  }
+
+  /// exact := the committed order followed by `selection` (reuses
+  /// `exact`'s buffer across the menu's probes).
+  void extend_committed(const std::vector<int>& selection,
+                        std::vector<int>& exact) const {
+    exact.assign(committed_.begin(), committed_.end());
+    exact.insert(exact.end(), selection.begin(), selection.end());
   }
 
   [[nodiscard]] std::vector<int> to_global(const std::vector<int>& wids) const {
     std::vector<int> out;
     out.reserve(wids.size());
     for (const int wid : wids) out.push_back(global_id_of(wid));
-    return out;
-  }
-
-  [[nodiscard]] std::string render(const std::vector<int>& wids) const {
-    std::string out = "[";
-    for (std::size_t i = 0; i < wids.size(); ++i) {
-      if (i != 0) out += ',';
-      out += 'w';
-      out += std::to_string(global_id_of(wids[i]));
-    }
-    out += ']';
     return out;
   }
 

@@ -132,9 +132,23 @@ SimDrive drive_sim(const Scenario& s, sim::Scheduler& sched,
 /// includes pending reads (lin_solver.hpp), so a history cut short by a
 /// crash or a budget is checked on its completed prefix with the
 /// stranded ops as overlays.
+///
+/// A supplied witness is verified first.  If it verifies it settles both
+/// checks: Definition 4 makes f(H) a linearization of H, and the
+/// verifier's last probe covers the whole history.  A rejected witness
+/// leaves both to the witness-free checkers, with their usual verdicts
+/// and details.
 void check_history(const History& h, bool expect_wsl, bool online,
                    const checker::WslWitness* witness, ScenarioResult& out) {
-  const checker::LinCheckResult lin = checker::check_linearizable(h);
+  const bool verified =
+      expect_wsl && witness != nullptr &&
+      checker::verify_wsl_witness(h, *witness).verified;
+  checker::LinCheckResult lin;
+  if (verified) {
+    lin.ok = true;
+  } else {
+    lin = checker::check_linearizable(h);
+  }
   if (online) {
     // Differential gate: replay the history through the streaming
     // checker and demand verdict agreement with the batch solver.  Any
@@ -173,10 +187,16 @@ void check_history(const History& h, bool expect_wsl, bool online,
     return;
   }
   if (expect_wsl) {
-    const checker::WslCheckResult wsl =
-        witness != nullptr
-            ? checker::check_write_strong_linearizable(h, *witness)
-            : checker::check_write_strong_linearizable(h);
+    checker::WslCheckResult wsl;
+    if (verified) {
+      wsl.ok = true;
+      wsl.witness = checker::WslWitnessOutcome::kVerified;
+    } else {
+      wsl = checker::check_write_strong_linearizable(h);
+      if (witness != nullptr) {
+        wsl.witness = checker::WslWitnessOutcome::kFallback;
+      }
+    }
     if (obs::enabled()) {
       obs::count(obs::Counter::kWslSolverCalls, wsl.solver_calls);
       obs::count(obs::Counter::kWslCacheHits, wsl.cache_hits);

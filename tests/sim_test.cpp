@@ -109,7 +109,7 @@ TEST(LinearizableModel, ReadChoicesEnumerateFeasibleValues) {
   sched.apply(Action::step(1));  // read pending
   const auto pending = sched.pending_ops();
   const int read_op = pending[1].op_id;
-  auto choices = sched.choices_for(read_op);
+  const auto& choices = sched.choices_for(read_op);
   ASSERT_EQ(choices.size(), 2u);  // initial 0 or concurrent 10
   std::set<Value> values;
   for (const auto& c : choices) values.insert(c.value);
@@ -133,7 +133,7 @@ TEST(LinearizableModel, OffLineFreedomSurvivesWriteCompletion) {
   auto respond_write = [&](ProcessId p) {
     for (const auto& info : sched.pending_ops()) {
       if (info.process == p) {
-        auto choices = sched.choices_for(info.op_id);
+        const auto& choices = sched.choices_for(info.op_id);
         ASSERT_EQ(choices.size(), 1u);
         sched.apply(Action::respond(p, info.op_id, choices[0]));
         return;
@@ -173,13 +173,13 @@ TEST(WslModel, WriteResponseFreezesOrder) {
   const int w2_op = pending[1].op_id;
   const int r_op = pending[2].op_id;
   std::optional<ResponseChoice> w1_only;
-  for (auto& c : sched.choices_for(w1_op)) {
+  for (const auto& c : sched.choices_for(w1_op)) {
     if (c.commit_extension == std::vector<int>{w1_op}) w1_only = c;
   }
   ASSERT_TRUE(w1_only.has_value());
   sched.apply(Action::respond(0, w1_op, *w1_only));
   // Respond w2 (it must append after w1).
-  auto w2_choices = sched.choices_for(w2_op);
+  const auto& w2_choices = sched.choices_for(w2_op);
   ASSERT_FALSE(w2_choices.empty());
   sched.apply(Action::respond(1, w2_op, w2_choices[0]));
   // The read overlapped everything, but w1-before-w2 is now frozen:
@@ -188,7 +188,7 @@ TEST(WslModel, WriteResponseFreezesOrder) {
   // first read's choice values contain 20 and 10 but a follow-up
   // constraint holds: respond with 20, then the next read can only be 20.
   std::optional<ResponseChoice> twenty;
-  for (auto& c : sched.choices_for(r_op)) {
+  for (const auto& c : sched.choices_for(r_op)) {
     if (c.value == 20) twenty = c;
   }
   ASSERT_TRUE(twenty.has_value());
@@ -196,7 +196,7 @@ TEST(WslModel, WriteResponseFreezesOrder) {
   sched.apply(Action::step(2));  // invoke second read
   const int r2_op = sched.pending_ops()[0].op_id;
   std::set<Value> values;
-  for (auto& c : sched.choices_for(r2_op)) values.insert(c.value);
+  for (const auto& c : sched.choices_for(r2_op)) values.insert(c.value);
   EXPECT_EQ(values, (std::set<Value>{20}));
 }
 

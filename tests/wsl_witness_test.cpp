@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "checker/lin_checker.hpp"
 #include "checker/wsl_checker.hpp"
 #include "history/history.hpp"
 #include "mp/abd.hpp"
@@ -49,9 +50,10 @@ std::string case_name(const testing::TestParamInfo<OracleCase>& info) {
 
 class WitnessOracle : public testing::TestWithParam<OracleCase> {};
 
-TEST_P(WitnessOracle, WitnessPathAgreesWithTreeSearch) {
-  const OracleCase& c = GetParam();
-  int fallbacks = 0;
+/// Runs the case's corpus (both adversaries, seeds 0:300) and hands each
+/// scenario with its recorded run to `fn`.
+template <typename Fn>
+void for_each_run(const OracleCase& c, const Fn& fn) {
   for (const auto adversary :
        {sweep::AdversaryKind::kRoundRobin, sweep::AdversaryKind::kRandom}) {
     for (std::uint64_t seed = 0; seed < 300; ++seed) {
@@ -69,31 +71,57 @@ TEST_P(WitnessOracle, WitnessPathAgreesWithTreeSearch) {
       ASSERT_TRUE(rec.expect_wsl) << s.key();
       ASSERT_TRUE(rec.witness.has_value()) << s.key();
       ASSERT_LE(rec.history.size(), 64u) << s.key();
-
-      const checker::WslCheckResult tree =
-          checker::check_write_strong_linearizable(rec.history);
-      const checker::WslCheckResult fast =
-          checker::check_write_strong_linearizable(rec.history, *rec.witness);
-      ASSERT_EQ(fast.ok, tree.ok) << s.key() << '\n'
-                                  << rec.history.to_string();
-      ASSERT_NE(fast.witness, WslWitnessOutcome::kNone);
-      if (fast.witness == WslWitnessOutcome::kFallback) {
-        ++fallbacks;
-        EXPECT_EQ(fast.explanation, tree.explanation) << s.key();
-      } else {
-        EXPECT_EQ(fast.solver_calls, 0u) << s.key();
-      }
-      if (c.fault == sweep::FaultKind::kNone) {
-        EXPECT_EQ(fast.witness, WslWitnessOutcome::kVerified)
-            << s.key() << ": "
-            << checker::verify_wsl_witness(rec.history, *rec.witness)
-                   .rejection;
-        EXPECT_EQ(out.verdict, sweep::Verdict::kOk) << s.key();
-      }
+      fn(s, out, rec);
     }
   }
+}
+
+TEST_P(WitnessOracle, WitnessPathAgreesWithTreeSearch) {
+  const OracleCase& c = GetParam();
+  int fallbacks = 0;
+  for_each_run(c, [&](const sweep::Scenario& s,
+                      const sweep::ScenarioResult& out,
+                      const sweep::RecordedRun& rec) {
+    const checker::WslCheckResult tree =
+        checker::check_write_strong_linearizable(rec.history);
+    const checker::WslCheckResult fast =
+        checker::check_write_strong_linearizable(rec.history, *rec.witness);
+    ASSERT_EQ(fast.ok, tree.ok) << s.key() << '\n'
+                                << rec.history.to_string();
+    ASSERT_NE(fast.witness, WslWitnessOutcome::kNone);
+    if (fast.witness == WslWitnessOutcome::kFallback) {
+      ++fallbacks;
+      EXPECT_EQ(fast.explanation, tree.explanation) << s.key();
+    } else {
+      EXPECT_EQ(fast.solver_calls, 0u) << s.key();
+    }
+    if (c.fault == sweep::FaultKind::kNone) {
+      EXPECT_EQ(fast.witness, WslWitnessOutcome::kVerified)
+          << s.key() << ": "
+          << checker::verify_wsl_witness(rec.history, *rec.witness).rejection;
+      EXPECT_EQ(out.verdict, sweep::Verdict::kOk) << s.key();
+    }
+  });
   // Every family's own witness holds on every run here, faults included.
   EXPECT_EQ(fallbacks, 0);
+}
+
+TEST_P(WitnessOracle, VerifiedWitnessImpliesLinearizable) {
+  // The sweep skips the batch linearizability check when the witness
+  // verifies (Definition 4: f(H) linearizes H); the batch checker must
+  // agree on every such history.
+  int verified = 0;
+  for_each_run(GetParam(), [&](const sweep::Scenario& s,
+                               const sweep::ScenarioResult& /*out*/,
+                               const sweep::RecordedRun& rec) {
+    if (!checker::verify_wsl_witness(rec.history, *rec.witness).verified) {
+      return;
+    }
+    ++verified;
+    EXPECT_TRUE(checker::check_linearizable(rec.history).ok)
+        << s.key() << '\n' << rec.history.to_string();
+  });
+  EXPECT_GT(verified, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
