@@ -1,9 +1,7 @@
 #include "explore/explore.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <iostream>
 #include <memory>
 #include <sstream>
 
@@ -12,10 +10,10 @@
 #include "obs/forensics.hpp"
 #include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "sim/schedule_policy.hpp"
 #include "sweep/fnv.hpp"
-#include "sweep/pool.hpp"
+#include "sweep/ordered.hpp"
+#include "util/append.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -194,20 +192,24 @@ const char* to_string(Strategy s) noexcept {
 }
 
 std::string ExploreInstance::key() const {
-  std::ostringstream os;
-  os << "explore/" << to_string(objective) << '/';
-  if (objective == Objective::kRounds) {
-    os << term::to_string(family) << '/' << to_string(strategy) << "/p"
-       << processes << "/r" << max_rounds;
-  } else {
-    os << sweep::to_string(algorithm) << '/' << to_string(strategy) << "/p"
-       << processes << "/w" << writes_per_process;
-  }
-  os << "/b" << search_budget;
-  if (!abd_read_write_back) os << "/nowb";
-  if (fault_menu) os << "/fmenu";
-  os << "/seed" << seed;
-  return os.str();
+  const bool rounds = objective == Objective::kRounds;
+  std::string k = "explore/";
+  k += to_string(objective);
+  k += '/';
+  k += rounds ? term::to_string(family) : sweep::to_string(algorithm);
+  k += '/';
+  k += to_string(strategy);
+  k += "/p";
+  util::append_int(k, processes);
+  k += rounds ? "/r" : "/w";
+  util::append_int(k, rounds ? max_rounds : writes_per_process);
+  k += "/b";
+  util::append_int(k, search_budget);
+  if (!abd_read_write_back) k += "/nowb";
+  if (fault_menu) k += "/fmenu";
+  k += "/seed";
+  util::append_int(k, seed);
+  return k;
 }
 
 ReplayReport replay_trace(const ExploreInstance& e, const ScheduleTrace& trace,
@@ -501,193 +503,145 @@ ExploreSummary run_explore(const ExploreOptions& o,
   const auto t0 = std::chrono::steady_clock::now();
   const ExploreEnumeration en = enumerate_explore_shard(o);
   const std::vector<ExploreInstance>& instances = en.instances;
-  std::vector<ExploreOutcome> outcomes(instances.size());
 
   const bool tracing = hooks != nullptr && hooks->trace != nullptr;
-  if (tracing) obs::set_enabled(true);
-  std::vector<obs::CounterDelta> deltas(tracing ? instances.size() : 0);
-  std::unique_ptr<obs::ProgressMeter> meter;
-  if (hooks != nullptr && hooks->progress_on()) {
-    obs::ProgressOptions po;
-    po.total = instances.size();
-    po.mode = "explore";
-    // "clean", not "done": the protocol's state counter already uses
-    // the "done" key, and every key in a line must be unique.
-    po.classes = {"clean", "found", "other", "err"};
-    po.fd = hooks->progress_fd;
-    po.heartbeat_ms = hooks->heartbeat_ms;
-    meter = std::make_unique<obs::ProgressMeter>(po);
-  }
-
-  std::uint64_t steal_count = 0;
-  {
-    sweep::WorkStealingPool pool(o.threads);
-    std::atomic<std::uint64_t> completed{0};
-    const std::size_t batch =
-        static_cast<std::size_t>(std::max(1, o.batch_size));
-    obs::ProgressMeter* const meter_p = meter.get();
-    for (std::size_t begin = 0; begin < instances.size(); begin += batch) {
-      const std::size_t end = std::min(begin + batch, instances.size());
-      pool.submit([&instances, &outcomes, &completed, &deltas, progress_every,
-                   begin, end, tracing, meter_p] {
-        const bool timing = obs::enabled();
-        const auto bt0 = std::chrono::steady_clock::now();
-        for (std::size_t i = begin; i < end; ++i) {
-          obs::CounterDelta before;
-          if (tracing) before = obs::thread_counters();
-          outcomes[i] = run_explore_instance(instances[i]);
-          if (obs::enabled()) {
-            obs::count(obs::Counter::kExploreRuns, outcomes[i].runs);
-            obs::count(obs::Counter::kExploreShrinkProbes,
-                       outcomes[i].shrink_probes);
-            obs::count(obs::Counter::kExploreSteps, outcomes[i].total_steps);
-          }
-          if (tracing) {
-            obs::CounterDelta after = obs::thread_counters();
-            after -= before;
-            deltas[i] = after;
-          }
-          if (meter_p != nullptr) {
-            meter_p->tick(progress_class(instances[i], outcomes[i]));
-          }
-          const std::uint64_t done =
-              completed.fetch_add(1, std::memory_order_relaxed) + 1;
-          if (progress_every > 0 && done % progress_every == 0) {
-            std::cerr << "[explore] " << done << " instances done\n";
-          }
-        }
-        if (timing) {
-          obs::count(obs::Counter::kPoolTasks);
-          obs::hist(obs::Hist::kPoolTaskNs,
-                    static_cast<std::uint64_t>(
-                        std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() - bt0)
-                            .count()));
-        }
-      });
-    }
-    pool.wait_idle();
-    steal_count = pool.steals();
-  }
-  obs::count(obs::Counter::kPoolSteals, steal_count);
-  obs::gauge_max(obs::Gauge::kPoolThreads,
-                 static_cast<std::uint64_t>(std::max(1, o.threads)));
-  if (meter) meter->finish();
-
-  // Deterministic fold: enumeration order, no wall-clock fields.  The
-  // fold inputs are exactly the persisted record fields, so a merge that
-  // re-folds shard-store records reproduces this summary bit for bit.
   if (sink != nullptr && o.shard.active()) {
     sink->append(sweep::shard_header_record("explore", o.shard, config_key(o),
                                             en.total, instances.size()));
   }
+  sweep::StreamSpec spec;
+  spec.threads = o.threads;
+  spec.batch_size = o.batch_size;
+  spec.hooks = hooks;
+  spec.mode = "explore";
+  // "clean", not "done": the protocol's state counter already uses the
+  // "done" key, and every key in a line must be unique.
+  spec.classes = {"clean", "found", "other", "err"};
+  spec.progress_every = progress_every;
+  spec.progress_prefix = "[explore] ";
+  spec.progress_unit = "instances";
   ExploreFold fold;
   std::uint64_t wall_ns_total = 0;
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    const ExploreInstance& e = instances[i];
-    const ExploreOutcome& r = outcomes[i];
-    const std::string key = e.key();
-    wall_ns_total += r.wall_ns;
-    ExploreFold::Item item;
-    item.best_score = r.best_score;
-    item.found_rank = r.found_rank;
-    item.fingerprint = r.fingerprint;
-    item.trace_fnv = r.trace_fnv;
-    item.runs = r.runs;
-    item.total_steps = r.total_steps;
-    item.shrunk = r.shrunk;
-    item.locally_minimal = r.locally_minimal;
-    item.shrink_probes = r.shrink_probes;
-    item.error = r.error;
-    item.detail = r.detail;
-    fold.add(key, item);
-    if (sink != nullptr) {
-      const char* found = "none";
-      if (e.objective == Objective::kViolation) {
-        found = r.found_rank >= kRankViolation ? "violation"
-                : r.found_rank == kRankBlocked ? "blocked"
-                                               : "none";
-      } else {
-        // The best run's own verdict ("decided" / "capped" / "budget"),
-        // not a score threshold — see the shrink-gate comment above.
-        found = r.detail.c_str();
-      }
-      sweep::Record rec;
-      rec.u64("gi", en.global_indices[i])
-          .str("key", key)
-          .str("mode", "explore")
-          .str("objective", to_string(e.objective))
-          .str("strategy", to_string(e.strategy))
-          .str("target", e.objective == Objective::kRounds
-                             ? term::to_string(e.family)
-                             : sweep::to_string(e.algorithm))
-          .u64("processes", static_cast<std::uint64_t>(e.processes))
-          .u64("rounds", static_cast<std::uint64_t>(e.max_rounds))
-          .u64("writes", static_cast<std::uint64_t>(e.writes_per_process))
-          .u64("max_actions", e.max_actions)
-          .u64("seed", e.seed)
-          .u64("budget", static_cast<std::uint64_t>(e.search_budget))
-          .boolean("write_back", e.abd_read_write_back)
-          .boolean("fault_menu", e.fault_menu)
-          .u64("runs", r.runs)
-          .u64("steps", r.total_steps)
-          .u64("best_score", r.best_score)
-          .str("found", r.error ? "error" : found)
-          .hex("fingerprint", r.fingerprint)
-          .hex("trace_fnv", r.trace_fnv)
-          .u64("trace_len", r.best_trace.size())
-          .u64("unshrunk_len", r.unshrunk_len)
-          .boolean("shrunk", r.shrunk)
-          .boolean("locally_minimal", r.locally_minimal)
-          .u64("shrink_probes", r.shrink_probes)
-          .u64("fallback_seed", r.fallback_seed)
-          .str("trace", encode_trace(r.best_trace))
-          .str("detail", r.detail);
-      sink->append(rec);
-    }
-    if (tracing) {
-      // Enumeration-order span, byte-stable across threads/batch; wall
-      // clock only under trace_times.
-      sweep::Record span;
-      span.str("obs", "span")
-          .u64("gi", en.global_indices[i])
-          .str("key", key)
-          .str("mode", "explore")
-          .u64("runs", r.runs)
-          .u64("best_score", r.best_score)
-          .u64("shrink_probes", r.shrink_probes)
-          .u64("steps", r.total_steps);
-      if (hooks->trace_times) span.u64("wall_ns", r.wall_ns);
-      obs::append_stable_deltas(deltas[i], span);
-      hooks->trace->append(span);
-    }
-    if (hooks != nullptr && hooks->forensics_on() &&
-        e.objective == Objective::kViolation && !r.error &&
-        r.found_rank >= kRankBlocked) {
-      // Witness forensics: replay the shrunk best trace with capture on
-      // so it ships with its explanation (certificate / quorum ledger /
-      // timeline).  The replay is deterministic and runs in the fold
-      // (enumeration order), so the artifact is byte-identical across
-      // threads, batches, and shards — which tile by gi.
-      ExploreInstance fe = e;
-      fe.forensics = true;
-      const ReplayReport rep =
-          replay_trace(fe, r.best_trace, r.fallback_seed);
-      std::string body = rep.forensics;
-      if (body.empty()) {
-        sweep::Record stub;
-        stub.u64("forensics", 1)
-            .str("key", key)
-            .str("verdict", rep.verdict)
-            .str("detail", "replay captured no forensics");
-        body = stub.json() + "\n";
-      }
-      obs::write_artifact(hooks->forensics_dir,
-                          "explore-" + std::to_string(en.global_indices[i]) +
-                              ".json",
-                          body);
-    }
-  }
+  // Deterministic fold, streamed: enumeration order, no wall-clock
+  // fields, run on this thread while the workers go on.  The fold inputs
+  // are exactly the persisted record fields, so a merge that re-folds
+  // shard-store records reproduces this summary bit for bit.
+  sweep::stream_ordered<ExploreOutcome>(
+      instances.size(), spec,
+      [&instances](std::size_t i, ExploreOutcome& r) {
+        r = run_explore_instance(instances[i]);
+        if (obs::enabled()) {
+          obs::count(obs::Counter::kExploreRuns, r.runs);
+          obs::count(obs::Counter::kExploreShrinkProbes, r.shrink_probes);
+          obs::count(obs::Counter::kExploreSteps, r.total_steps);
+        }
+        return progress_class(instances[i], r);
+      },
+      [&](std::size_t i, const ExploreOutcome& r,
+          const obs::CounterDelta* delta) {
+        const ExploreInstance& e = instances[i];
+        const std::string key = e.key();
+        wall_ns_total += r.wall_ns;
+        ExploreFold::Item item;
+        item.best_score = r.best_score;
+        item.found_rank = r.found_rank;
+        item.fingerprint = r.fingerprint;
+        item.trace_fnv = r.trace_fnv;
+        item.runs = r.runs;
+        item.total_steps = r.total_steps;
+        item.shrunk = r.shrunk;
+        item.locally_minimal = r.locally_minimal;
+        item.shrink_probes = r.shrink_probes;
+        item.error = r.error;
+        item.detail = r.detail;
+        fold.add(key, item);
+        if (sink != nullptr) {
+          const char* found = "none";
+          if (e.objective == Objective::kViolation) {
+            found = r.found_rank >= kRankViolation ? "violation"
+                    : r.found_rank == kRankBlocked ? "blocked"
+                                                   : "none";
+          } else {
+            // The best run's own verdict ("decided" / "capped" / "budget"),
+            // not a score threshold — see the shrink-gate comment above.
+            found = r.detail.c_str();
+          }
+          sweep::Record rec;
+          rec.u64("gi", en.global_indices[i])
+              .str("key", key)
+              .str("mode", "explore")
+              .str("objective", to_string(e.objective))
+              .str("strategy", to_string(e.strategy))
+              .str("target", e.objective == Objective::kRounds
+                                 ? term::to_string(e.family)
+                                 : sweep::to_string(e.algorithm))
+              .u64("processes", static_cast<std::uint64_t>(e.processes))
+              .u64("rounds", static_cast<std::uint64_t>(e.max_rounds))
+              .u64("writes", static_cast<std::uint64_t>(e.writes_per_process))
+              .u64("max_actions", e.max_actions)
+              .u64("seed", e.seed)
+              .u64("budget", static_cast<std::uint64_t>(e.search_budget))
+              .boolean("write_back", e.abd_read_write_back)
+              .boolean("fault_menu", e.fault_menu)
+              .u64("runs", r.runs)
+              .u64("steps", r.total_steps)
+              .u64("best_score", r.best_score)
+              .str("found", r.error ? "error" : found)
+              .hex("fingerprint", r.fingerprint)
+              .hex("trace_fnv", r.trace_fnv)
+              .u64("trace_len", r.best_trace.size())
+              .u64("unshrunk_len", r.unshrunk_len)
+              .boolean("shrunk", r.shrunk)
+              .boolean("locally_minimal", r.locally_minimal)
+              .u64("shrink_probes", r.shrink_probes)
+              .u64("fallback_seed", r.fallback_seed)
+              .str("trace", encode_trace(r.best_trace))
+              .str("detail", r.detail);
+          sink->append(rec);
+        }
+        if (tracing) {
+          // Enumeration-order span, byte-stable across threads/batch; wall
+          // clock only under trace_times.
+          sweep::Record span;
+          span.str("obs", "span")
+              .u64("gi", en.global_indices[i])
+              .str("key", key)
+              .str("mode", "explore")
+              .u64("runs", r.runs)
+              .u64("best_score", r.best_score)
+              .u64("shrink_probes", r.shrink_probes)
+              .u64("steps", r.total_steps);
+          if (hooks->trace_times) span.u64("wall_ns", r.wall_ns);
+          obs::append_stable_deltas(*delta, span);
+          hooks->trace->append(span);
+        }
+        if (hooks != nullptr && hooks->forensics_on() &&
+            e.objective == Objective::kViolation && !r.error &&
+            r.found_rank >= kRankBlocked) {
+          // Witness forensics: replay the shrunk best trace with capture on
+          // so it ships with its explanation (certificate / quorum ledger /
+          // timeline).  The replay is deterministic and runs in the fold
+          // (enumeration order), so the artifact is byte-identical across
+          // threads, batches, and shards — which tile by gi.
+          ExploreInstance fe = e;
+          fe.forensics = true;
+          const ReplayReport rep =
+              replay_trace(fe, r.best_trace, r.fallback_seed);
+          std::string body = rep.forensics;
+          if (body.empty()) {
+            sweep::Record stub;
+            stub.u64("forensics", 1)
+                .str("key", key)
+                .str("verdict", rep.verdict)
+                .str("detail", "replay captured no forensics");
+            body = stub.json() + "\n";
+          }
+          obs::write_artifact(
+              hooks->forensics_dir,
+              "explore-" + std::to_string(en.global_indices[i]) + ".json",
+              body);
+        }
+      });
   if (tracing && hooks->trace_times) {
     sweep::Record close;
     // "stable":false: wall-clock record, skippable mechanically.
@@ -709,7 +663,6 @@ ExploreSummary run_explore(const ExploreOptions& o,
         sweep::shard_trailer_record(o.shard, instances.size(), sum.digest));
   }
   sum.wall_ns_total = wall_ns_total;
-  sum.steals = steal_count;
   sum.elapsed_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)

@@ -220,7 +220,6 @@ struct ExploreSummary {
   /// Measured, NOT digest material:
   std::uint64_t wall_ns_total = 0;
   std::uint64_t elapsed_ns = 0;
-  std::uint64_t steals = 0;
   std::vector<std::string> failures;
   std::uint64_t failures_truncated = 0;
 
@@ -266,12 +265,14 @@ class ExploreFold {
   std::uint64_t index_ = 0;  ///< Global enumeration index of the next add.
 };
 
-/// Runs the search on `o.threads` pool workers.  When `sink` is
-/// non-null, one canonical record per instance — including the encoded
-/// best trace, replayable via replay_trace / sweep_main --replay — is
-/// appended in enumeration order after the pool drains.  `hooks`
-/// (obs/hooks.hpp) attaches the observability fabric — trace spans
-/// and/or live progress; never digest material (see sweep::run_sweep).
+/// Runs the search on `o.threads` pool workers through the ordered loop
+/// (sweep/ordered.hpp).  When `sink` is non-null, one canonical record
+/// per instance — including the encoded best trace, replayable via
+/// replay_trace / sweep_main --replay — is appended in enumeration order
+/// by the fold, which runs on the calling thread while the workers go
+/// on.  `hooks` (obs/hooks.hpp) attaches the observability fabric —
+/// trace spans and/or live progress; never digest material (see
+/// sweep::run_sweep).
 [[nodiscard]] ExploreSummary run_explore(const ExploreOptions& o,
                                          std::uint64_t progress_every = 0,
                                          sweep::RecordSink* sink = nullptr,

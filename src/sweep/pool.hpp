@@ -7,10 +7,12 @@
 // reach last).  External submissions are dealt round-robin across
 // workers so every worker starts with a share.
 //
-// Determinism note: the pool schedules nondeterministically, but the
-// sweep engine writes results into a pre-sized array indexed by task id
-// and aggregates in id order, so sweep digests are independent of the
-// interleaving and of the thread count.
+// Determinism note: the pool schedules nondeterministically.  The sweep
+// engines run on it through the ordered loop (sweep/ordered.hpp): one
+// long-lived task per worker claims batches from a shared cursor in
+// index order, and the caller folds each finished batch in index order,
+// so sweep digests are independent of the interleaving and of the
+// thread count.
 #pragma once
 
 #include <atomic>

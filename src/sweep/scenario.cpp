@@ -25,6 +25,7 @@
 #include "sim/schedule_policy.hpp"
 #include "sim/scheduler.hpp"
 #include "sweep/fnv.hpp"
+#include "util/append.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -994,24 +995,36 @@ std::optional<Verdict> verdict_from_string(std::string_view s) noexcept {
 }
 
 std::string Scenario::key() const {
-  std::ostringstream os;
-  os << to_string(algorithm);
+  std::string k;
+  k.reserve(48);
+  k += to_string(algorithm);
   if (algorithm == Algorithm::kModeled) {
-    os << '-' << sim::to_string(semantics);
+    k += '-';
+    k += sim::to_string(semantics);
   }
-  os << '/' << to_string(adversary) << "/p" << processes << "/w"
-     << writes_per_process;
+  k += '/';
+  k += to_string(adversary);
+  k += "/p";
+  util::append_int(k, processes);
+  k += "/w";
+  util::append_int(k, writes_per_process);
   // Defaulted knobs add nothing: crash-free keys are byte-identical to
   // their pre-fault-axis spelling (pinned digests depend on this).
-  if (!abd_read_write_back) os << "/nowb";
+  if (!abd_read_write_back) k += "/nowb";
   if (faults.active()) {
-    os << "/f" << to_string(faults.kind);
-    if (faults.param != 0) os << "-d" << faults.param;
-    os << "-c" << faults.seed;
+    k += "/f";
+    k += to_string(faults.kind);
+    if (faults.param != 0) {
+      k += "-d";
+      util::append_int(k, faults.param);
+    }
+    k += "-c";
+    util::append_int(k, faults.seed);
   }
-  if (explore_faults) os << "/fmenu";
-  os << "/seed" << seed;
-  return os.str();
+  if (explore_faults) k += "/fmenu";
+  k += "/seed";
+  util::append_int(k, seed);
+  return k;
 }
 
 void classify_run(const History& h, bool expect_wsl, RunEnd end,

@@ -1,8 +1,9 @@
 // The persisted per-scenario result store.
 //
-// A sweep (safety or termination) can stream one flat record per scenario
-// into a `RecordSink`.  Records are appended in scenario-enumeration
-// order during the deterministic fold — after the pool barrier — so a
+// A sweep (safety, termination or exploration) can stream one flat record
+// per scenario into a `RecordSink`.  Records are appended in
+// scenario-enumeration order by the deterministic fold, which runs on
+// the calling thread while the workers go on (sweep/ordered.hpp), so a
 // store's bytes are a pure function of the sweep options: byte-identical
 // across runs, thread counts, and batch sizes.  That property is what
 // makes two stores diffable across commits (`tools/sweep_diff.py`):
@@ -34,6 +35,10 @@ class Record {
   /// The closed single-line JSON object (no trailing newline).
   [[nodiscard]] std::string json() const;
 
+  /// The fields without the enclosing braces (`"a":1,"b":"x"`), for
+  /// sinks that write the braces around it themselves.
+  [[nodiscard]] std::string_view body() const noexcept { return body_; }
+
  private:
   void begin_field(std::string_view field);
   std::string body_;  ///< Accumulated `"a":1,"b":"x"` payload.
@@ -43,7 +48,8 @@ class Record {
 [[nodiscard]] std::string json_escape(std::string_view s);
 
 /// Where per-scenario records go.  `append` is called in enumeration
-/// order, exactly once per scenario, after all scenarios completed.
+/// order, exactly once per scenario, from one thread (the sweep's fold)
+/// while later scenarios may still be running.
 class RecordSink {
  public:
   virtual ~RecordSink() = default;
@@ -53,7 +59,7 @@ class RecordSink {
 /// Collects the store in memory (tests: byte-stability assertions).
 class StringSink final : public RecordSink {
  public:
-  void append(const Record& r) override { text_ += r.json() += '\n'; }
+  void append(const Record& r) override;
   [[nodiscard]] const std::string& text() const noexcept { return text_; }
 
  private:

@@ -1,32 +1,22 @@
 #include "sweep/sweep.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <iostream>
-#include <memory>
 #include <sstream>
 
 #include "obs/forensics.hpp"
 #include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "sweep/fnv.hpp"
-#include "sweep/pool.hpp"
+#include "sweep/ordered.hpp"
 #include "util/assert.hpp"
 
 namespace rlt::sweep {
 namespace {
 
-/// Enumeration materializes this shard's share of the cross-product;
-/// refuse shares that would exhaust memory before a single scenario
-/// runs.  The cap is per shard — sharding raises the sweepable ceiling
-/// N-fold, which is the point of the fabric.
+/// Per shard, like the other engines' caps: one process runs at most
+/// this many scenarios; sharding raises the sweepable ceiling N-fold.
 constexpr std::uint64_t kMaxScenarios = 10'000'000;
-
-}  // namespace
-
-namespace {
 
 /// Expands the fault axis for one family: kNone contributes one
 /// fault-free plan, each applicable faulty kind one plan per fault seed,
@@ -51,6 +41,84 @@ std::vector<FaultPlan> plans_for(const SweepOptions& o, Algorithm alg) {
   if (plans.empty()) plans.push_back(FaultPlan{});
   return plans;
 }
+
+/// The cross-product as a decoder, the one enumeration path of the
+/// safety sweep.  Seeds are the outermost axis, so the configs one seed
+/// expands to (algorithm, semantics, adversary, process count, fault
+/// plan, in that nesting order) are built once, and the scenario at
+/// global index gi is config gi % |configs| with seed
+/// seed_begin + gi / |configs|.  run_sweep decodes each scenario when a
+/// worker runs it and again when the fold keys it, so it holds no
+/// per-scenario list; enumerate_shard materializes the same decode.
+class Decoder {
+ public:
+  explicit Decoder(const SweepOptions& o)
+      : shard_(o.shard), seed_begin_(o.seed_begin) {
+    RLT_CHECK_MSG(o.seed_begin <= o.seed_end, "seed range is reversed");
+    RLT_CHECK_MSG(!o.faults.empty(), "fault-kind list is empty");
+    RLT_CHECK_MSG(!o.crash_seeds.empty(), "crash-seed list is empty");
+    RLT_CHECK_MSG(o.shard.count > 0 && o.shard.index < o.shard.count,
+                  "shard index/count out of range");
+    for (const Algorithm alg : o.algorithms) {
+      const std::vector<FaultPlan> plans = plans_for(o, alg);
+      // Non-modeled algorithms ignore the semantics axis; emit them once.
+      const std::size_t sem_count =
+          alg == Algorithm::kModeled ? o.semantics.size() : 1;
+      for (std::size_t si = 0; si < sem_count; ++si) {
+        for (const AdversaryKind adv : o.adversaries) {
+          for (const int procs : o.process_counts) {
+            for (const FaultPlan& plan : plans) {
+              Scenario s;
+              s.algorithm = alg;
+              s.semantics = alg == Algorithm::kModeled
+                                ? o.semantics[si]
+                                : sim::Semantics::kAtomic;
+              s.adversary = adv;
+              s.processes = procs;
+              s.writes_per_process = o.writes_per_process;
+              s.max_actions = o.max_actions_per_scenario;
+              s.faults = plan;
+              s.online_check = o.online;
+              s.forensics = o.forensics;
+              configs_.push_back(s);
+            }
+          }
+        }
+      }
+    }
+    const std::uint64_t configs = configs_.size();
+    const std::uint64_t seeds = o.seed_end - o.seed_begin;
+    RLT_CHECK_MSG(configs == 0 || seeds <= UINT64_MAX / configs,
+                  "sweep cross-product overflows");
+    total_ = configs * seeds;
+    RLT_CHECK_MSG(owned() <= kMaxScenarios,
+                  "sweep cross-product exceeds the per-shard scenario limit; "
+                  "narrow the seed range or axes, or use more shards");
+  }
+
+  /// Full cross-product size (all shards).
+  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
+  /// Scenarios this shard owns.
+  [[nodiscard]] std::uint64_t owned() const noexcept {
+    return shard_.share(total_);
+  }
+  /// Global index of this shard's i-th scenario (round robin).
+  [[nodiscard]] std::uint64_t global_index(std::uint64_t i) const noexcept {
+    return shard_.index + i * shard_.count;
+  }
+  /// The scenario at global index `gi` (< total()).
+  [[nodiscard]] Scenario at(std::uint64_t gi) const {
+    Scenario s = configs_[gi % configs_.size()];
+    s.seed = seed_begin_ + gi / configs_.size();
+    return s;
+  }
+
+ private:
+  ShardSpec shard_;
+  std::uint64_t seed_begin_;
+  std::vector<Scenario> configs_;
+  std::uint64_t total_ = 0;
+};
 
 }  // namespace
 
@@ -87,70 +155,17 @@ std::string config_key(const SweepOptions& o) {
 }
 
 Enumeration enumerate_shard(const SweepOptions& o) {
-  RLT_CHECK_MSG(o.seed_begin <= o.seed_end, "seed range is reversed");
-  RLT_CHECK_MSG(!o.faults.empty(), "fault-kind list is empty");
-  RLT_CHECK_MSG(!o.crash_seeds.empty(), "crash-seed list is empty");
-  RLT_CHECK_MSG(o.shard.count > 0 && o.shard.index < o.shard.count,
-                "shard index/count out of range");
-  // Per-algorithm plan lists, built once (seeds are the outer loop).
-  std::vector<std::vector<FaultPlan>> plans_by_alg;
-  plans_by_alg.reserve(o.algorithms.size());
-  std::uint64_t configs = 0;
-  for (const Algorithm alg : o.algorithms) {
-    plans_by_alg.push_back(plans_for(o, alg));
-    const std::uint64_t sems =
-        alg == Algorithm::kModeled ? o.semantics.size() : 1;
-    configs += sems * plans_by_alg.back().size();
-  }
-  configs *= o.adversaries.size() * o.process_counts.size();
-  const std::uint64_t seeds = o.seed_end - o.seed_begin;
-  RLT_CHECK_MSG(configs == 0 || seeds <= UINT64_MAX / configs,
-                "sweep cross-product overflows");
+  const Decoder dec(o);
   Enumeration en;
-  en.total = configs * seeds;
-  RLT_CHECK_MSG(o.shard.share(en.total) <= kMaxScenarios,
-                "sweep cross-product exceeds the per-shard scenario limit; "
-                "narrow the seed range or axes, or use more shards");
-  en.global_indices.reserve(o.shard.share(en.total));
-  en.scenarios.reserve(o.shard.share(en.total));
-  std::uint64_t gi = 0;
-  for (std::uint64_t seed = o.seed_begin; seed < o.seed_end; ++seed) {
-    for (std::size_t ai = 0; ai < o.algorithms.size(); ++ai) {
-      const Algorithm alg = o.algorithms[ai];
-      // Non-modeled algorithms ignore the semantics axis; emit them once.
-      const std::size_t sem_count =
-          alg == Algorithm::kModeled ? o.semantics.size() : 1;
-      const std::vector<FaultPlan>& plans = plans_by_alg[ai];
-      for (std::size_t si = 0; si < sem_count; ++si) {
-        for (const AdversaryKind adv : o.adversaries) {
-          for (const int procs : o.process_counts) {
-            for (const FaultPlan& plan : plans) {
-              if (o.shard.owns(gi)) {
-                Scenario s;
-                s.algorithm = alg;
-                s.semantics = alg == Algorithm::kModeled
-                                  ? o.semantics[si]
-                                  : sim::Semantics::kAtomic;
-                s.adversary = adv;
-                s.processes = procs;
-                s.seed = seed;
-                s.writes_per_process = o.writes_per_process;
-                s.max_actions = o.max_actions_per_scenario;
-                s.faults = plan;
-                s.online_check = o.online;
-                s.forensics = o.forensics;
-                en.global_indices.push_back(gi);
-                en.scenarios.push_back(s);
-              }
-              ++gi;
-            }
-          }
-        }
-      }
-    }
+  en.total = dec.total();
+  const std::uint64_t owned = dec.owned();
+  en.global_indices.reserve(owned);
+  en.scenarios.reserve(owned);
+  for (std::uint64_t i = 0; i < owned; ++i) {
+    const std::uint64_t gi = dec.global_index(i);
+    en.global_indices.push_back(gi);
+    en.scenarios.push_back(dec.at(gi));
   }
-  RLT_CHECK_MSG(gi == en.total, "enumeration count disagrees with the "
-                                "computed cross-product size");
   return en;
 }
 
@@ -228,155 +243,102 @@ int progress_class(Verdict v) noexcept {
 SweepSummary run_sweep(const SweepOptions& o, std::uint64_t progress_every,
                        RecordSink* sink, const obs::Hooks* hooks) {
   const auto t0 = std::chrono::steady_clock::now();
-  const Enumeration en = enumerate_shard(o);
-  const std::vector<Scenario>& scenarios = en.scenarios;
-  std::vector<ScenarioResult> results(scenarios.size());
+  const Decoder dec(o);
+  const std::uint64_t owned = dec.owned();
 
-  // Tracing needs the registry live: per-scenario spans carry counter
-  // deltas captured on the worker thread around each scenario.
   const bool tracing = hooks != nullptr && hooks->trace != nullptr;
-  if (tracing) obs::set_enabled(true);
-  std::vector<obs::CounterDelta> deltas(tracing ? scenarios.size() : 0);
-  std::unique_ptr<obs::ProgressMeter> meter;
-  if (hooks != nullptr && hooks->progress_on()) {
-    obs::ProgressOptions po;
-    po.total = scenarios.size();
-    po.mode = "safety";
-    po.classes = {"ok", "viol", "blocked", "err"};
-    po.fd = hooks->progress_fd;
-    po.heartbeat_ms = hooks->heartbeat_ms;
-    meter = std::make_unique<obs::ProgressMeter>(po);
-  }
-
-  std::uint64_t steal_count = 0;
-  {
-    WorkStealingPool pool(o.threads);
-    std::atomic<std::uint64_t> completed{0};
-    const std::size_t batch =
-        static_cast<std::size_t>(std::max(1, o.batch_size));
-    obs::ProgressMeter* const meter_p = meter.get();
-    for (std::size_t begin = 0; begin < scenarios.size(); begin += batch) {
-      const std::size_t end = std::min(begin + batch, scenarios.size());
-      pool.submit([&scenarios, &results, &completed, &deltas, progress_every,
-                   begin, end, tracing, meter_p] {
-        const bool timing = obs::enabled();
-        const auto bt0 = std::chrono::steady_clock::now();
-        for (std::size_t i = begin; i < end; ++i) {
-          // A scenario runs wholly on this thread, so the thread-local
-          // counter slice before/after brackets exactly its work.
-          obs::CounterDelta before;
-          if (tracing) before = obs::thread_counters();
-          results[i] = run_scenario(scenarios[i]);
-          if (tracing) {
-            obs::CounterDelta after = obs::thread_counters();
-            after -= before;
-            deltas[i] = after;
-          }
-          if (meter_p != nullptr) {
-            meter_p->tick(progress_class(results[i].verdict));
-          }
-          const std::uint64_t done =
-              completed.fetch_add(1, std::memory_order_relaxed) + 1;
-          if (progress_every > 0 && done % progress_every == 0) {
-            std::cerr << "[sweep] " << done << " scenarios done\n";
-          }
-        }
-        if (timing) {
-          obs::count(obs::Counter::kPoolTasks);
-          obs::hist(obs::Hist::kPoolTaskNs,
-                    static_cast<std::uint64_t>(
-                        std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() - bt0)
-                            .count()));
-        }
-      });
-    }
-    pool.wait_idle();
-    steal_count = pool.steals();
-  }
-  obs::count(obs::Counter::kPoolSteals, steal_count);
-  obs::gauge_max(obs::Gauge::kPoolThreads,
-                 static_cast<std::uint64_t>(std::max(1, o.threads)));
-  if (meter) meter->finish();
-
-  // Deterministic fold: enumeration order, no wall-clock fields.  The
-  // fold inputs are exactly the persisted record fields, so a merge that
-  // re-folds shard-store records reproduces this summary bit for bit.
   if (sink != nullptr && o.shard.active()) {
     sink->append(shard_header_record("safety", o.shard, config_key(o),
-                                     en.total, scenarios.size()));
+                                     dec.total(), owned));
   }
+  StreamSpec spec;
+  spec.threads = o.threads;
+  spec.batch_size = o.batch_size;
+  spec.hooks = hooks;
+  spec.progress_every = progress_every;
   SweepFold fold;
   std::uint64_t wall_ns_total = 0;
   std::uint64_t wall_ns_max = 0;
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const ScenarioResult& r = results[i];
-    wall_ns_total += r.wall_ns;
-    if (r.wall_ns > wall_ns_max) wall_ns_max = r.wall_ns;
-    const std::string key = scenarios[i].key();
-    fold.add(key, r.verdict, r.steps, r.ops, r.history_hash, r.detail);
-    if (sink != nullptr) {
-      // Canonical per-scenario record: the global enumeration index,
-      // then exactly the digest material (plus the failure detail), in a
-      // fixed field order, so the store is byte-identical whenever the
-      // digest is — and mergeable whatever the shard count was.
-      Record rec;
-      rec.u64("gi", en.global_indices[i])
-          .str("key", key)
-          .str("mode", "safety")
-          .str("verdict", to_string(r.verdict))
-          .u64("steps", r.steps)
-          .u64("ops", r.ops)
-          .hex("history_hash", r.history_hash)
-          .u64("delivered", r.net_delivered)
-          .u64("dropped", r.net_dropped)
-          .u64("duplicated", r.net_duplicated)
-          .u64("msgs", r.net_msgs)
-          .u64("bytes", r.net_bytes)
-          .u64("rts", r.net_round_trips)
-          .str("detail", r.detail);
-      sink->append(rec);
-    }
-    if (tracing) {
-      // One span per scenario, emitted in enumeration order after the
-      // pool barrier — byte-stable across threads/batch.  Wall-clock
-      // fields only under trace_times (they break byte-identity).
-      Record span;
-      span.str("obs", "span")
-          .u64("gi", en.global_indices[i])
-          .str("key", key)
-          .str("mode", "safety")
-          .str("verdict", to_string(r.verdict))
-          .u64("steps", r.steps)
-          .u64("ops", r.ops);
-      if (hooks->trace_times) {
-        span.u64("wall_ns", r.wall_ns).u64("check_ns", r.check_ns);
-      }
-      obs::append_stable_deltas(deltas[i], span);
-      hooks->trace->append(span);
-    }
-    if (hooks != nullptr && hooks->forensics_on() &&
-        r.verdict != Verdict::kOk) {
-      // One canonical-JSON artifact per non-ok scenario, written during
-      // the deterministic fold and named by global index — so the
-      // directory is byte-identical across --threads/--batch, and the
-      // gi-disjoint shards of one sweep tile the unsharded directory.
-      // Runners that could not capture forensics (kError unwound before
-      // the history existed) still get an honest stub.
-      std::string body = r.forensics;
-      if (body.empty()) {
-        Record stub;
-        stub.u64("forensics", 1)
-            .str("key", key)
-            .str("verdict", to_string(r.verdict))
-            .str("detail", r.detail);
-        body = stub.json() + "\n";
-      }
-      obs::write_artifact(
-          hooks->forensics_dir,
-          "scenario-" + std::to_string(en.global_indices[i]) + ".json", body);
-    }
-  }
+  // Deterministic fold, streamed: enumeration order, no wall-clock
+  // fields, run on this thread while the workers go on.  The fold inputs
+  // are exactly the persisted record fields, so a merge that re-folds
+  // shard-store records reproduces this summary bit for bit.
+  stream_ordered<ScenarioResult>(
+      owned, spec,
+      [&dec](std::size_t i, ScenarioResult& r) {
+        r = run_scenario(dec.at(dec.global_index(i)));
+        return progress_class(r.verdict);
+      },
+      [&](std::size_t i, const ScenarioResult& r,
+          const obs::CounterDelta* delta) {
+        const std::uint64_t gi = dec.global_index(i);
+        const std::string key = dec.at(gi).key();
+        wall_ns_total += r.wall_ns;
+        if (r.wall_ns > wall_ns_max) wall_ns_max = r.wall_ns;
+        fold.add(key, r.verdict, r.steps, r.ops, r.history_hash, r.detail);
+        if (sink != nullptr) {
+          // Canonical per-scenario record: the global enumeration index,
+          // then exactly the digest material (plus the failure detail),
+          // in a fixed field order, so the store is byte-identical
+          // whenever the digest is — and mergeable whatever the shard
+          // count was.
+          Record rec;
+          rec.u64("gi", gi)
+              .str("key", key)
+              .str("mode", "safety")
+              .str("verdict", to_string(r.verdict))
+              .u64("steps", r.steps)
+              .u64("ops", r.ops)
+              .hex("history_hash", r.history_hash)
+              .u64("delivered", r.net_delivered)
+              .u64("dropped", r.net_dropped)
+              .u64("duplicated", r.net_duplicated)
+              .u64("msgs", r.net_msgs)
+              .u64("bytes", r.net_bytes)
+              .u64("rts", r.net_round_trips)
+              .str("detail", r.detail);
+          sink->append(rec);
+        }
+        if (tracing) {
+          // One span per scenario, in enumeration order — byte-stable
+          // across threads/batch.  Wall-clock fields only under
+          // trace_times (they break byte-identity).
+          Record span;
+          span.str("obs", "span")
+              .u64("gi", gi)
+              .str("key", key)
+              .str("mode", "safety")
+              .str("verdict", to_string(r.verdict))
+              .u64("steps", r.steps)
+              .u64("ops", r.ops);
+          if (hooks->trace_times) {
+            span.u64("wall_ns", r.wall_ns).u64("check_ns", r.check_ns);
+          }
+          obs::append_stable_deltas(*delta, span);
+          hooks->trace->append(span);
+        }
+        if (hooks != nullptr && hooks->forensics_on() &&
+            r.verdict != Verdict::kOk) {
+          // One canonical-JSON artifact per non-ok scenario, written by
+          // the fold and named by global index — so the directory is
+          // byte-identical across --threads/--batch, and the gi-disjoint
+          // shards of one sweep tile the unsharded directory.  Runners
+          // that could not capture forensics (kError unwound before the
+          // history existed) still get an honest stub.
+          std::string body = r.forensics;
+          if (body.empty()) {
+            Record stub;
+            stub.u64("forensics", 1)
+                .str("key", key)
+                .str("verdict", to_string(r.verdict))
+                .str("detail", r.detail);
+            body = stub.json() + "\n";
+          }
+          obs::write_artifact(hooks->forensics_dir,
+                              "scenario-" + std::to_string(gi) + ".json",
+                              body);
+        }
+      });
   if (tracing && hooks->trace_times) {
     // Closing span: end-to-end engine wall clock (opt-in, like every
     // wall-clock trace field).
@@ -388,7 +350,7 @@ SweepSummary run_sweep(const SweepOptions& o, std::uint64_t progress_every,
         .str("span", "sweep")
         .str("mode", "safety")
         .boolean("stable", false)
-        .u64("scenarios", scenarios.size())
+        .u64("scenarios", owned)
         .u64("elapsed_ns",
              static_cast<std::uint64_t>(
                  std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -398,11 +360,10 @@ SweepSummary run_sweep(const SweepOptions& o, std::uint64_t progress_every,
   }
   SweepSummary sum = fold.finish();
   if (sink != nullptr && o.shard.active()) {
-    sink->append(shard_trailer_record(o.shard, scenarios.size(), sum.digest));
+    sink->append(shard_trailer_record(o.shard, owned, sum.digest));
   }
   sum.wall_ns_total = wall_ns_total;
   sum.wall_ns_max = wall_ns_max;
-  sum.steals = steal_count;
   sum.elapsed_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)

@@ -59,11 +59,11 @@ struct SweepOptions {
   int writes_per_process = 2;
   std::uint64_t max_actions_per_scenario = 1'000'000;
   int threads = 1;
-  /// Scenarios per pool task.  Batching amortizes submit/wakeup overhead
-  /// (one lock + condition-variable signal per task) across a run of
-  /// consecutive scenario indices; results are still written per scenario
-  /// and folded in index order, so the digest is independent of this
-  /// knob.  1 = one task per scenario (the PR 1 behaviour).
+  /// Scenarios per batch of the ordered loop.  Batching amortizes its
+  /// hand-off (one lock + condition-variable signal per batch) across a
+  /// run of consecutive scenario indices; results are still folded per
+  /// scenario in index order, so the digest is independent of this knob.
+  /// At most 16 x threads batches are alive at once.
   int batch_size = 16;
   /// Streaming cross-check: every checkable history is also replayed
   /// through the online checker, and any batch/online split reports as
@@ -104,10 +104,11 @@ struct Enumeration {
 
 /// Materializes this shard's slice of the cross-product, seeds outermost
 /// so that consecutive task ids cover different configs (better tail
-/// behaviour under stealing) and round-robin sharding spreads every
+/// behaviour across workers) and round-robin sharding spreads every
 /// config across all shards.  Order is deterministic; the digest folds
-/// in this order.  Memory scales with the owned share, so the scenario
-/// cap is per shard: sharding raises the sweepable ceiling N-fold.
+/// in this order.  run_sweep decodes the same order one scenario at a
+/// time instead of materializing it.  The scenario cap (10M) is per
+/// shard: sharding raises the sweepable ceiling N-fold.
 [[nodiscard]] Enumeration enumerate_shard(const SweepOptions& o);
 
 /// The owned scenarios alone (enumerate_shard without the bookkeeping);
@@ -133,7 +134,6 @@ struct SweepSummary {
   std::uint64_t wall_ns_total = 0;  ///< Sum over scenarios (cpu-ish time).
   std::uint64_t wall_ns_max = 0;    ///< Slowest single scenario.
   std::uint64_t elapsed_ns = 0;     ///< End-to-end sweep wall clock.
-  std::uint64_t steals = 0;         ///< Pool steal count (scheduling info).
   /// key + detail for the first few non-ok scenarios, enumeration order.
   std::vector<std::string> failures;
   /// Non-ok scenarios beyond the reporting cap.  stable_text() renders
@@ -174,11 +174,15 @@ class SweepFold {
   SweepSummary sum_;
 };
 
-/// Runs the sweep on `o.threads` pool workers.  `progress_every` > 0
-/// prints a line to stderr every that-many completed scenarios.  When
-/// `sink` is non-null, one canonical record per scenario is appended in
-/// enumeration order after the pool drains — so the store's bytes, like
-/// the digest, are independent of thread count and batch size.
+/// Runs the sweep on `o.threads` pool workers through the ordered loop
+/// (sweep/ordered.hpp): scenarios are decoded from their global index
+/// as they run, and the calling thread folds them in enumeration order
+/// while the workers go on, so memory does not grow with the sweep.
+/// `progress_every` > 0 prints a line to stderr every that-many
+/// completed scenarios.  When `sink` is non-null, one canonical record
+/// per scenario is appended in enumeration order by that fold — so the
+/// store's bytes, like the digest, are independent of thread count and
+/// batch size.
 ///
 /// `hooks` (obs/hooks.hpp) attaches the observability fabric: a trace
 /// sink receiving one span record per scenario (enumeration order,

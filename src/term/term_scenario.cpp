@@ -4,7 +4,6 @@
 #include <chrono>
 #include <exception>
 #include <memory>
-#include <sstream>
 #include <vector>
 
 #include "consensus/composed.hpp"
@@ -13,6 +12,7 @@
 #include "game/game_runner.hpp"
 #include "sim/adversary.hpp"
 #include "sweep/fnv.hpp"
+#include "util/append.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -336,10 +336,17 @@ bool combination_valid(Family f, TermAdversary a) noexcept {
 }
 
 std::string TermScenario::key() const {
-  std::ostringstream os;
-  os << "term/" << to_string(family) << '/' << to_string(adversary) << "/p"
-     << processes << "/r" << max_rounds << "/seed" << seed;
-  return os.str();
+  std::string k = "term/";
+  k += to_string(family);
+  k += '/';
+  k += to_string(adversary);
+  k += "/p";
+  util::append_int(k, processes);
+  k += "/r";
+  util::append_int(k, max_rounds);
+  k += "/seed";
+  util::append_int(k, seed);
+  return k;
 }
 
 TermProbe run_term_probe(const TermProbeSpec& spec,

@@ -1,18 +1,14 @@
 #include "term/term_sweep.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <iomanip>
-#include <iostream>
-#include <memory>
 #include <sstream>
 
 #include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "sweep/fnv.hpp"
-#include "sweep/pool.hpp"
+#include "sweep/ordered.hpp"
 #include "util/assert.hpp"
 
 namespace rlt::term {
@@ -278,123 +274,77 @@ TermSummary run_term_sweep(const TermSweepOptions& o,
   const auto t0 = std::chrono::steady_clock::now();
   const TermEnumeration en = enumerate_term_shard(o);
   const std::vector<TermScenario>& scenarios = en.scenarios;
-  std::vector<TermRecord> records(scenarios.size());
 
   const bool tracing = hooks != nullptr && hooks->trace != nullptr;
-  if (tracing) obs::set_enabled(true);
-  std::vector<obs::CounterDelta> deltas(tracing ? scenarios.size() : 0);
-  std::unique_ptr<obs::ProgressMeter> meter;
-  if (hooks != nullptr && hooks->progress_on()) {
-    obs::ProgressOptions po;
-    po.total = scenarios.size();
-    po.mode = "term";
-    po.classes = {"term", "capped", "other", "err"};
-    po.fd = hooks->progress_fd;
-    po.heartbeat_ms = hooks->heartbeat_ms;
-    meter = std::make_unique<obs::ProgressMeter>(po);
-  }
-
-  std::uint64_t steal_count = 0;
-  {
-    sweep::WorkStealingPool pool(o.threads);
-    std::atomic<std::uint64_t> completed{0};
-    const std::size_t batch =
-        static_cast<std::size_t>(std::max(1, o.batch_size));
-    obs::ProgressMeter* const meter_p = meter.get();
-    for (std::size_t begin = 0; begin < scenarios.size(); begin += batch) {
-      const std::size_t end = std::min(begin + batch, scenarios.size());
-      pool.submit([&scenarios, &records, &completed, &deltas, progress_every,
-                   begin, end, tracing, meter_p] {
-        const bool timing = obs::enabled();
-        const auto bt0 = std::chrono::steady_clock::now();
-        for (std::size_t i = begin; i < end; ++i) {
-          obs::CounterDelta before;
-          if (tracing) before = obs::thread_counters();
-          records[i] = run_term_scenario(scenarios[i]);
-          if (obs::enabled()) {
-            obs::count(obs::Counter::kTermCoinFlips, records[i].coin_flips);
-            if (records[i].capped) obs::count(obs::Counter::kTermCapped);
-          }
-          if (tracing) {
-            obs::CounterDelta after = obs::thread_counters();
-            after -= before;
-            deltas[i] = after;
-          }
-          if (meter_p != nullptr) meter_p->tick(progress_class(records[i]));
-          const std::uint64_t done =
-              completed.fetch_add(1, std::memory_order_relaxed) + 1;
-          if (progress_every > 0 && done % progress_every == 0) {
-            std::cerr << "[term-sweep] " << done << " scenarios done\n";
-          }
-        }
-        if (timing) {
-          obs::count(obs::Counter::kPoolTasks);
-          obs::hist(obs::Hist::kPoolTaskNs,
-                    static_cast<std::uint64_t>(
-                        std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() - bt0)
-                            .count()));
-        }
-      });
-    }
-    pool.wait_idle();
-    steal_count = pool.steals();
-  }
-  obs::count(obs::Counter::kPoolSteals, steal_count);
-  obs::gauge_max(obs::Gauge::kPoolThreads,
-                 static_cast<std::uint64_t>(std::max(1, o.threads)));
-  if (meter) meter->finish();
-
-  // Deterministic fold: enumeration order, no wall-clock fields.  The
-  // fold inputs are exactly the persisted record fields, so a merge that
-  // re-folds shard-store records reproduces this summary bit for bit.
   if (sink != nullptr && o.shard.active()) {
     sink->append(sweep::shard_header_record("term", o.shard, config_key(o),
                                             en.total, scenarios.size()));
   }
+  sweep::StreamSpec spec;
+  spec.threads = o.threads;
+  spec.batch_size = o.batch_size;
+  spec.hooks = hooks;
+  spec.mode = "term";
+  spec.classes = {"term", "capped", "other", "err"};
+  spec.progress_every = progress_every;
+  spec.progress_prefix = "[term-sweep] ";
   TermFold fold;
   std::uint64_t wall_ns_total = 0;
   std::uint64_t wall_ns_max = 0;
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const TermRecord& r = records[i];
-    wall_ns_total += r.wall_ns;
-    if (r.wall_ns > wall_ns_max) wall_ns_max = r.wall_ns;
-    const std::string key = scenarios[i].key();
-    fold.add(key, scenarios[i].family, r);
-    if (sink != nullptr) {
-      sweep::Record rec;
-      rec.u64("gi", en.global_indices[i])
-          .str("key", key)
-          .str("mode", "term")
-          .boolean("terminated", r.terminated)
-          .boolean("capped", r.capped)
-          .boolean("safety_ok", r.safety_ok)
-          .boolean("error", r.error)
-          .u64("rounds", static_cast<std::uint64_t>(r.rounds))
-          .u64("stalled", static_cast<std::uint64_t>(r.stalled))
-          .u64("coin_flips", r.coin_flips)
-          .u64("steps", r.steps)
-          .hex("outcome_hash", r.outcome_hash)
-          .str("detail", r.detail);
-      sink->append(rec);
-    }
-    if (tracing) {
-      // Enumeration-order span, byte-stable across threads/batch; wall
-      // clock only under trace_times.
-      sweep::Record span;
-      span.str("obs", "span")
-          .u64("gi", en.global_indices[i])
-          .str("key", key)
-          .str("mode", "term")
-          .boolean("terminated", r.terminated)
-          .boolean("capped", r.capped)
-          .u64("rounds", static_cast<std::uint64_t>(r.rounds))
-          .u64("steps", r.steps);
-      if (hooks->trace_times) span.u64("wall_ns", r.wall_ns);
-      obs::append_stable_deltas(deltas[i], span);
-      hooks->trace->append(span);
-    }
-  }
+  // Deterministic fold, streamed: enumeration order, no wall-clock
+  // fields, run on this thread while the workers go on.  The fold inputs
+  // are exactly the persisted record fields, so a merge that re-folds
+  // shard-store records reproduces this summary bit for bit.
+  sweep::stream_ordered<TermRecord>(
+      scenarios.size(), spec,
+      [&scenarios](std::size_t i, TermRecord& r) {
+        r = run_term_scenario(scenarios[i]);
+        if (obs::enabled()) {
+          obs::count(obs::Counter::kTermCoinFlips, r.coin_flips);
+          if (r.capped) obs::count(obs::Counter::kTermCapped);
+        }
+        return progress_class(r);
+      },
+      [&](std::size_t i, const TermRecord& r,
+          const obs::CounterDelta* delta) {
+        wall_ns_total += r.wall_ns;
+        if (r.wall_ns > wall_ns_max) wall_ns_max = r.wall_ns;
+        const std::string key = scenarios[i].key();
+        fold.add(key, scenarios[i].family, r);
+        if (sink != nullptr) {
+          sweep::Record rec;
+          rec.u64("gi", en.global_indices[i])
+              .str("key", key)
+              .str("mode", "term")
+              .boolean("terminated", r.terminated)
+              .boolean("capped", r.capped)
+              .boolean("safety_ok", r.safety_ok)
+              .boolean("error", r.error)
+              .u64("rounds", static_cast<std::uint64_t>(r.rounds))
+              .u64("stalled", static_cast<std::uint64_t>(r.stalled))
+              .u64("coin_flips", r.coin_flips)
+              .u64("steps", r.steps)
+              .hex("outcome_hash", r.outcome_hash)
+              .str("detail", r.detail);
+          sink->append(rec);
+        }
+        if (tracing) {
+          // Enumeration-order span, byte-stable across threads/batch; wall
+          // clock only under trace_times.
+          sweep::Record span;
+          span.str("obs", "span")
+              .u64("gi", en.global_indices[i])
+              .str("key", key)
+              .str("mode", "term")
+              .boolean("terminated", r.terminated)
+              .boolean("capped", r.capped)
+              .u64("rounds", static_cast<std::uint64_t>(r.rounds))
+              .u64("steps", r.steps);
+          if (hooks->trace_times) span.u64("wall_ns", r.wall_ns);
+          obs::append_stable_deltas(*delta, span);
+          hooks->trace->append(span);
+        }
+      });
   if (tracing && hooks->trace_times) {
     sweep::Record close;
     // "stable":false: wall-clock record, skippable mechanically.
@@ -420,7 +370,6 @@ TermSummary run_term_sweep(const TermSweepOptions& o,
   }
   sum.wall_ns_total = wall_ns_total;
   sum.wall_ns_max = wall_ns_max;
-  sum.steals = steal_count;
   sum.elapsed_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)

@@ -117,7 +117,6 @@ struct TermSummary {
   std::uint64_t wall_ns_total = 0;
   std::uint64_t wall_ns_max = 0;
   std::uint64_t elapsed_ns = 0;
-  std::uint64_t steals = 0;
   /// key + detail of the first few error / safety-violation scenarios
   /// (capped runs are an expected outcome class and are not listed).
   std::vector<std::string> failures;
@@ -158,13 +157,15 @@ class TermFold {
   std::vector<bool> family_present_;
 };
 
-/// Runs the sweep on `o.threads` pool workers.  `progress_every` > 0
-/// prints a line to stderr every that-many completed scenarios.  When
-/// `sink` is non-null, one canonical record per scenario is appended in
-/// enumeration order after the pool drains (byte-stable across thread
-/// counts and batch sizes).  `hooks` (obs/hooks.hpp) attaches the
-/// observability fabric — trace spans and/or live progress; never
-/// digest material (see sweep::run_sweep for the contract).
+/// Runs the sweep on `o.threads` pool workers through the ordered loop
+/// (sweep/ordered.hpp).  `progress_every` > 0 prints a line to stderr
+/// every that-many completed scenarios.  When `sink` is non-null, one
+/// canonical record per scenario is appended in enumeration order by the
+/// fold, which runs on the calling thread while the workers go on
+/// (byte-stable across thread counts and batch sizes).  `hooks`
+/// (obs/hooks.hpp) attaches the observability fabric — trace spans
+/// and/or live progress; never digest material (see sweep::run_sweep
+/// for the contract).
 [[nodiscard]] TermSummary run_term_sweep(const TermSweepOptions& o,
                                          std::uint64_t progress_every = 0,
                                          sweep::RecordSink* sink = nullptr,

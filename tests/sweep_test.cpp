@@ -1,12 +1,16 @@
 // Tests for the parallel scenario-sweep engine (src/sweep/): the
-// work-stealing pool, single-scenario determinism, the crash and stall
-// fault axes and their verdict taxonomy (blocked vs violation vs
-// error), and the sweep-level digest guarantees (same options =>
-// byte-identical summary, regardless of thread count — with or without
-// faults).
+// work-stealing pool, the ordered streaming loop, single-scenario
+// determinism, the crash and stall fault axes and their verdict
+// taxonomy (blocked vs violation vs error), and the sweep-level digest
+// guarantees (same options => byte-identical summary, regardless of
+// thread count — with or without faults).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -15,6 +19,9 @@
 
 #include "mp/abd.hpp"
 #include "mp/network.hpp"
+#include "obs/hooks.hpp"
+#include "obs/metrics.hpp"
+#include "sweep/ordered.hpp"
 #include "sweep/pool.hpp"
 #include "sweep/scenario.hpp"
 #include "sweep/sweep.hpp"
@@ -106,6 +113,136 @@ TEST(Pool, TaskExceptionSurfacesInWaitIdle) {
   pool.submit([&count] { count.fetch_add(1); });
   pool.wait_idle();
   EXPECT_EQ(count.load(), 11);
+}
+
+// ---------- ordered streaming loop ----------
+
+/// Runs `body` on its own thread and rethrows what it throws; aborts
+/// the test binary if it has not returned within a minute (a hung loop
+/// cannot be joined, so failing fast is the only clean outcome).
+template <class Body>
+void within_timeout(Body body) {
+  std::promise<void> done;
+  std::future<void> result = done.get_future();
+  std::thread t([&body, &done] {
+    try {
+      body();
+      done.set_value();
+    } catch (...) {
+      done.set_exception(std::current_exception());
+    }
+  });
+  if (result.wait_for(std::chrono::seconds(60)) !=
+      std::future_status::ready) {
+    std::fprintf(stderr, "ordered loop did not return within 60 s\n");
+    std::abort();
+  }
+  t.join();
+  result.get();
+}
+
+TEST(Ordered, FoldsEveryItemOnceInIndexOrder) {
+  for (const int threads : {1, 3}) {
+    const std::size_t window = ordered_window(threads);
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
+      // Batch counts: none, one item, below / at / above the window.
+      for (const std::size_t items :
+           {std::size_t{0}, std::size_t{1}, batch * (window - 1),
+            batch * window, batch * window + 1, 3 * batch * window + 2}) {
+        std::vector<std::atomic<int>> runs(items);
+        std::vector<std::size_t> in_slot(window);
+        std::vector<std::size_t> folded;
+        std::atomic<std::size_t> folded_batches{0};
+        std::atomic<bool> window_overrun{false};
+        within_timeout([&] {
+          run_ordered(
+              threads, items, batch,
+              [&](const BatchRef& b) {
+                // Claimed at most `window` batches past the fold cursor.
+                if (b.index >= folded_batches.load() + window) {
+                  window_overrun = true;
+                }
+                for (std::size_t i = b.begin; i < b.end; ++i) ++runs[i];
+                in_slot[b.slot] = b.index;
+              },
+              [&](const BatchRef& b) {
+                EXPECT_EQ(b.slot, b.index % window);
+                EXPECT_EQ(in_slot[b.slot], b.index);
+                for (std::size_t i = b.begin; i < b.end; ++i) {
+                  folded.push_back(i);
+                }
+                folded_batches = b.index + 1;
+              });
+        });
+        EXPECT_FALSE(window_overrun);
+        ASSERT_EQ(folded.size(), items) << threads << "/" << batch;
+        for (std::size_t i = 0; i < items; ++i) {
+          EXPECT_EQ(folded[i], i);
+          EXPECT_EQ(runs[i].load(), 1) << "item " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(Ordered, StreamHandsEachResultAndDeltaToTheFold) {
+  StringSink trace;
+  StreamSpec spec;
+  spec.threads = 2;
+  spec.batch_size = 3;
+  for (const bool tracing : {false, true}) {
+    obs::Hooks hooks;
+    if (tracing) hooks.trace = &trace;
+    spec.hooks = &hooks;
+    std::vector<int> seen;
+    stream_ordered<int>(
+        100, spec,
+        [](std::size_t i, int& r) {
+          r = static_cast<int>(i) * 7;
+          return 0;
+        },
+        [&](std::size_t i, const int& r, const obs::CounterDelta* delta) {
+          EXPECT_EQ(r, static_cast<int>(i) * 7);
+          EXPECT_EQ(delta != nullptr, tracing);
+          seen.push_back(static_cast<int>(i));
+        });
+    ASSERT_EQ(seen.size(), 100u);
+    for (int i = 0; i < 100; ++i) EXPECT_EQ(seen[i], i);
+  }
+  obs::set_enabled(false);  // tracing switched the registry on
+}
+
+TEST(Ordered, RunExceptionIsRethrownWithoutHanging) {
+  std::atomic<std::size_t> folds{0};
+  EXPECT_THROW(within_timeout([&] {
+                 run_ordered(
+                     4, 100'000, 1,
+                     [](const BatchRef& b) {
+                       if (b.index == 37) throw std::runtime_error("run");
+                     },
+                     [&](const BatchRef&) { ++folds; });
+               }),
+               std::runtime_error);
+  EXPECT_LE(folds.load(), 37u);  // nothing past the failed batch folds
+}
+
+TEST(Ordered, FoldExceptionWakesWorkersParkedOnTheWindow) {
+  const int threads = 4;
+  const std::size_t window = ordered_window(threads);
+  std::atomic<std::size_t> started{0};
+  EXPECT_THROW(
+      within_timeout([&] {
+        run_ordered(
+            threads, 10 * window, 1, [&](const BatchRef&) { ++started; },
+            [&](const BatchRef&) {
+              // Hold batch 0 until every slot is taken: the workers
+              // are now parked on the window, waiting for this fold.
+              while (started.load() < window) std::this_thread::yield();
+              throw std::logic_error("fold");
+            });
+      }),
+      std::logic_error);
+  EXPECT_EQ(started.load(), window);  // no batch ran past the window
 }
 
 // ---------- scenario enumeration ----------

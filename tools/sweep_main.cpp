@@ -950,7 +950,6 @@ int main(int argc, char** argv) {
     std::uint64_t elapsed_ns = 0;
     std::uint64_t wall_ns_total = 0;
     std::uint64_t wall_ns_max = 0;
-    std::uint64_t steals = 0;
     bool failed = false;
     if (explore_mode) {
       const rlt::explore::ExploreSummary sum =
@@ -960,7 +959,6 @@ int main(int argc, char** argv) {
       elapsed_ns = sum.elapsed_ns;
       wall_ns_total = sum.wall_ns_total;
       wall_ns_max = 0;
-      steals = sum.steals;
       // Finding a violation is the search succeeding at its job; only
       // machinery errors fail an exploration.
       failed = sum.errors != 0;
@@ -972,7 +970,6 @@ int main(int argc, char** argv) {
       elapsed_ns = sum.elapsed_ns;
       wall_ns_total = sum.wall_ns_total;
       wall_ns_max = sum.wall_ns_max;
-      steals = sum.steals;
       // Capped runs are Theorem 6 doing its job; only broken safety or
       // machinery failures fail a termination sweep.
       failed = sum.safety_violations != 0 || sum.errors != 0;
@@ -983,7 +980,6 @@ int main(int argc, char** argv) {
       elapsed_ns = sum.elapsed_ns;
       wall_ns_total = sum.wall_ns_total;
       wall_ns_max = sum.wall_ns_max;
-      steals = sum.steals;
       // Blocked runs are the fault axes doing their job (their histories
       // were still checked clean up to the block); only violations and
       // errors fail the sweep.
@@ -1011,8 +1007,7 @@ int main(int argc, char** argv) {
               << "elapsed_ms " << elapsed_ns / 1'000'000 << "\n"
               << "scenario_ms_total " << wall_ns_total / 1'000'000 << "\n"
               << "scenario_ms_max " << wall_ns_max / 1'000'000 << "\n"
-              << "threads " << opts.threads << "\n"
-              << "steals " << steals << "\n";
+              << "threads " << opts.threads << "\n";
     return failed ? 1 : 0;
   } catch (const std::exception& e) {
     // Oversized cross-products, unwritable stores, and thread-spawn
