@@ -7,12 +7,10 @@
 
 #include "explore/policy.hpp"
 #include "explore/shrink.hpp"
-#include "obs/forensics.hpp"
-#include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
 #include "sim/schedule_policy.hpp"
+#include "sweep/engine.hpp"
 #include "sweep/fnv.hpp"
-#include "sweep/ordered.hpp"
 #include "util/append.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -308,28 +306,16 @@ std::string config_key(const ExploreOptions& o) {
   os << "objective=" << to_string(o.objective)
      << " strategy=" << to_string(o.strategy);
   if (o.objective == Objective::kRounds) {
-    os << " families=";
-    for (std::size_t i = 0; i < o.families.size(); ++i) {
-      os << (i ? "," : "") << term::to_string(o.families[i]);
-    }
-    os << " rounds=";
-    for (std::size_t i = 0; i < o.round_budgets.size(); ++i) {
-      os << (i ? "," : "") << o.round_budgets[i];
-    }
+    os << " families=" << sweep::join_axis(o.families)
+       << " rounds=" << sweep::join_axis(o.round_budgets);
   } else {
-    os << " algs=";
-    for (std::size_t i = 0; i < o.algorithms.size(); ++i) {
-      os << (i ? "," : "") << sweep::to_string(o.algorithms[i]);
-    }
-    os << " writes=" << o.writes_per_process
+    os << " algs=" << sweep::join_axis(o.algorithms)
+       << " writes=" << o.writes_per_process
        << " wb=" << (o.abd_read_write_back ? 1 : 0)
        << " fmenu=" << (o.fault_menu ? 1 : 0);
   }
-  os << " procs=";
-  for (std::size_t i = 0; i < o.process_counts.size(); ++i) {
-    os << (i ? "," : "") << o.process_counts[i];
-  }
-  os << " seeds=" << o.seed_begin << ':' << o.seed_end
+  os << " procs=" << sweep::join_axis(o.process_counts)
+     << " seeds=" << o.seed_begin << ':' << o.seed_end
      << " budget=" << o.search_budget << " shrink=" << o.shrink_budget
      << " max-actions=" << o.max_actions_per_run;
   return os.str();
@@ -442,7 +428,8 @@ std::string ExploreSummary::stable_text() const {
 
 ExploreFold::ExploreFold() { sum_.digest = kFnvOffset; }
 
-void ExploreFold::add(const std::string& key, const Item& it) {
+template <class In>
+void ExploreFold::add(const std::string& key, const In& it) {
   ++sum_.instances;
   sum_.search_runs += it.runs;
   if (it.found_rank >= kRankViolation) ++sum_.violations_found;
@@ -477,17 +464,24 @@ void ExploreFold::add(const std::string& key, const Item& it) {
   }
   ++index_;
 }
+template void ExploreFold::add(const std::string&, const ExploreFold::Item&);
+template void ExploreFold::add(const std::string&, const ExploreOutcome&);
 
-ExploreSummary ExploreFold::finish() { return std::move(sum_); }
+ExploreSummary ExploreFold::finish(sweep::RecordSink*) {
+  return std::move(sum_);
+}
 
-namespace {
-
-/// Progress outcome class of one instance (the four class slots of the
-/// progress protocol: done / found / other / err).  "found" = the
-/// search located what it hunts (a violation/blocked schedule, or a
-/// budget-defeating survival for the rounds objective).
-int progress_class(const ExploreInstance& e,
-                   const ExploreOutcome& r) noexcept {
+int ExploreMode::run(std::uint64_t i, ExploreOutcome& r) const {
+  const ExploreInstance& e = en_.instances[i];
+  r = run_explore_instance(e);
+  if (obs::enabled()) {
+    obs::count(obs::Counter::kExploreRuns, r.runs);
+    obs::count(obs::Counter::kExploreShrinkProbes, r.shrink_probes);
+    obs::count(obs::Counter::kExploreSteps, r.total_steps);
+  }
+  // The progress classes: clean / found / other / err.  "found" = the
+  // search located what it hunts (a violation/blocked schedule, or a
+  // budget-defeating survival for the rounds objective).
   if (r.error) return 3;
   const bool found = e.objective == Objective::kViolation
                          ? r.found_rank >= kRankBlocked
@@ -495,242 +489,105 @@ int progress_class(const ExploreInstance& e,
   return found ? 1 : 0;
 }
 
-}  // namespace
+void ExploreMode::record(sweep::Record& rec, std::uint64_t i,
+                         const ExploreOutcome& r) const {
+  const ExploreInstance& e = en_.instances[i];
+  // For the rounds objective: the best run's own verdict ("decided" /
+  // "capped" / "budget"), not a score threshold — see the shrink gate.
+  const char* found = r.error                              ? "error"
+                      : e.objective == Objective::kRounds  ? r.detail.c_str()
+                      : r.found_rank >= kRankViolation     ? "violation"
+                      : r.found_rank == kRankBlocked       ? "blocked"
+                                                           : "none";
+  rec.str("objective", to_string(e.objective))
+      .str("strategy", to_string(e.strategy))
+      .str("target", e.objective == Objective::kRounds
+                         ? term::to_string(e.family)
+                         : sweep::to_string(e.algorithm))
+      .u64("processes", static_cast<std::uint64_t>(e.processes))
+      .u64("rounds", static_cast<std::uint64_t>(e.max_rounds))
+      .u64("writes", static_cast<std::uint64_t>(e.writes_per_process))
+      .u64("max_actions", e.max_actions)
+      .u64("seed", e.seed)
+      .u64("budget", static_cast<std::uint64_t>(e.search_budget))
+      .boolean("write_back", e.abd_read_write_back)
+      .boolean("fault_menu", e.fault_menu)
+      .u64("runs", r.runs)
+      .u64("steps", r.total_steps)
+      .u64("best_score", r.best_score)
+      .str("found", found)
+      .hex("fingerprint", r.fingerprint)
+      .hex("trace_fnv", r.trace_fnv)
+      .u64("trace_len", r.best_trace.size())
+      .u64("unshrunk_len", r.unshrunk_len)
+      .boolean("shrunk", r.shrunk)
+      .boolean("locally_minimal", r.locally_minimal)
+      .u64("shrink_probes", r.shrink_probes)
+      .u64("fallback_seed", r.fallback_seed)
+      .str("trace", encode_trace(r.best_trace))
+      .str("detail", r.detail);
+}
+
+void ExploreMode::span(sweep::Record& s, const ExploreOutcome& r,
+                       bool times) {
+  s.u64("runs", r.runs)
+      .u64("best_score", r.best_score)
+      .u64("shrink_probes", r.shrink_probes)
+      .u64("steps", r.total_steps);
+  if (times) s.u64("wall_ns", r.wall_ns);
+}
+
+std::string ExploreMode::artifact(std::uint64_t i, const std::string& key,
+                                  const ExploreOutcome& r) const {
+  const ExploreInstance& e = en_.instances[i];
+  if (e.objective != Objective::kViolation || r.error ||
+      r.found_rank < kRankBlocked) {
+    return {};
+  }
+  // Witness forensics: replay the shrunk best trace with capture on so
+  // it ships with its explanation (certificate / quorum ledger /
+  // timeline).  The replay is deterministic and runs in the fold.
+  ExploreInstance fe = e;
+  fe.forensics = true;
+  const ReplayReport rep = replay_trace(fe, r.best_trace, r.fallback_seed);
+  if (!rep.forensics.empty()) return rep.forensics;
+  sweep::Record stub;
+  stub.u64("forensics", 1)
+      .str("key", key)
+      .str("verdict", rep.verdict)
+      .str("detail", "replay captured no forensics");
+  return stub.json() + "\n";
+}
+
+bool ExploreMode::parse(std::string_view line, const std::string&,
+                        ExploreOutcome& r) {
+  std::string found;
+  const bool ok = sweep::FieldReader(line)
+                      .u64("runs", r.runs)
+                      .u64("steps", r.total_steps)
+                      .u64("best_score", r.best_score)
+                      .str("found", found)
+                      .hex("fingerprint", r.fingerprint)
+                      .hex("trace_fnv", r.trace_fnv)
+                      .boolean("shrunk", r.shrunk)
+                      .boolean("locally_minimal", r.locally_minimal)
+                      .u64("shrink_probes", r.shrink_probes)
+                      .str("detail", r.detail)
+                      .ok();
+  r.found_rank = found == "violation" ? kRankViolation
+                 : found == "blocked" ? kRankBlocked
+                                      : 0;
+  r.error = found == "error";
+  return ok;
+}
 
 ExploreSummary run_explore(const ExploreOptions& o,
                            std::uint64_t progress_every,
                            sweep::RecordSink* sink, const obs::Hooks* hooks) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const ExploreEnumeration en = enumerate_explore_shard(o);
-  const std::vector<ExploreInstance>& instances = en.instances;
-
-  const bool tracing = hooks != nullptr && hooks->trace != nullptr;
-  if (sink != nullptr && o.shard.active()) {
-    sink->append(sweep::shard_header_record("explore", o.shard, config_key(o),
-                                            en.total, instances.size()));
-  }
-  sweep::StreamSpec spec;
-  spec.threads = o.threads;
-  spec.batch_size = o.batch_size;
-  spec.hooks = hooks;
-  spec.mode = "explore";
-  // "clean", not "done": the protocol's state counter already uses the
-  // "done" key, and every key in a line must be unique.
-  spec.classes = {"clean", "found", "other", "err"};
-  spec.progress_every = progress_every;
-  spec.progress_prefix = "[explore] ";
-  spec.progress_unit = "instances";
-  ExploreFold fold;
-  std::uint64_t wall_ns_total = 0;
-  // Deterministic fold, streamed: enumeration order, no wall-clock
-  // fields, run on this thread while the workers go on.  The fold inputs
-  // are exactly the persisted record fields, so a merge that re-folds
-  // shard-store records reproduces this summary bit for bit.
-  sweep::stream_ordered<ExploreOutcome>(
-      instances.size(), spec,
-      [&instances](std::size_t i, ExploreOutcome& r) {
-        r = run_explore_instance(instances[i]);
-        if (obs::enabled()) {
-          obs::count(obs::Counter::kExploreRuns, r.runs);
-          obs::count(obs::Counter::kExploreShrinkProbes, r.shrink_probes);
-          obs::count(obs::Counter::kExploreSteps, r.total_steps);
-        }
-        return progress_class(instances[i], r);
-      },
-      [&](std::size_t i, const ExploreOutcome& r,
-          const obs::CounterDelta* delta) {
-        const ExploreInstance& e = instances[i];
-        const std::string key = e.key();
-        wall_ns_total += r.wall_ns;
-        ExploreFold::Item item;
-        item.best_score = r.best_score;
-        item.found_rank = r.found_rank;
-        item.fingerprint = r.fingerprint;
-        item.trace_fnv = r.trace_fnv;
-        item.runs = r.runs;
-        item.total_steps = r.total_steps;
-        item.shrunk = r.shrunk;
-        item.locally_minimal = r.locally_minimal;
-        item.shrink_probes = r.shrink_probes;
-        item.error = r.error;
-        item.detail = r.detail;
-        fold.add(key, item);
-        if (sink != nullptr) {
-          const char* found = "none";
-          if (e.objective == Objective::kViolation) {
-            found = r.found_rank >= kRankViolation ? "violation"
-                    : r.found_rank == kRankBlocked ? "blocked"
-                                                   : "none";
-          } else {
-            // The best run's own verdict ("decided" / "capped" / "budget"),
-            // not a score threshold — see the shrink-gate comment above.
-            found = r.detail.c_str();
-          }
-          sweep::Record rec;
-          rec.u64("gi", en.global_indices[i])
-              .str("key", key)
-              .str("mode", "explore")
-              .str("objective", to_string(e.objective))
-              .str("strategy", to_string(e.strategy))
-              .str("target", e.objective == Objective::kRounds
-                                 ? term::to_string(e.family)
-                                 : sweep::to_string(e.algorithm))
-              .u64("processes", static_cast<std::uint64_t>(e.processes))
-              .u64("rounds", static_cast<std::uint64_t>(e.max_rounds))
-              .u64("writes", static_cast<std::uint64_t>(e.writes_per_process))
-              .u64("max_actions", e.max_actions)
-              .u64("seed", e.seed)
-              .u64("budget", static_cast<std::uint64_t>(e.search_budget))
-              .boolean("write_back", e.abd_read_write_back)
-              .boolean("fault_menu", e.fault_menu)
-              .u64("runs", r.runs)
-              .u64("steps", r.total_steps)
-              .u64("best_score", r.best_score)
-              .str("found", r.error ? "error" : found)
-              .hex("fingerprint", r.fingerprint)
-              .hex("trace_fnv", r.trace_fnv)
-              .u64("trace_len", r.best_trace.size())
-              .u64("unshrunk_len", r.unshrunk_len)
-              .boolean("shrunk", r.shrunk)
-              .boolean("locally_minimal", r.locally_minimal)
-              .u64("shrink_probes", r.shrink_probes)
-              .u64("fallback_seed", r.fallback_seed)
-              .str("trace", encode_trace(r.best_trace))
-              .str("detail", r.detail);
-          sink->append(rec);
-        }
-        if (tracing) {
-          // Enumeration-order span, byte-stable across threads/batch; wall
-          // clock only under trace_times.
-          sweep::Record span;
-          span.str("obs", "span")
-              .u64("gi", en.global_indices[i])
-              .str("key", key)
-              .str("mode", "explore")
-              .u64("runs", r.runs)
-              .u64("best_score", r.best_score)
-              .u64("shrink_probes", r.shrink_probes)
-              .u64("steps", r.total_steps);
-          if (hooks->trace_times) span.u64("wall_ns", r.wall_ns);
-          obs::append_stable_deltas(*delta, span);
-          hooks->trace->append(span);
-        }
-        if (hooks != nullptr && hooks->forensics_on() &&
-            e.objective == Objective::kViolation && !r.error &&
-            r.found_rank >= kRankBlocked) {
-          // Witness forensics: replay the shrunk best trace with capture on
-          // so it ships with its explanation (certificate / quorum ledger /
-          // timeline).  The replay is deterministic and runs in the fold
-          // (enumeration order), so the artifact is byte-identical across
-          // threads, batches, and shards — which tile by gi.
-          ExploreInstance fe = e;
-          fe.forensics = true;
-          const ReplayReport rep =
-              replay_trace(fe, r.best_trace, r.fallback_seed);
-          std::string body = rep.forensics;
-          if (body.empty()) {
-            sweep::Record stub;
-            stub.u64("forensics", 1)
-                .str("key", key)
-                .str("verdict", rep.verdict)
-                .str("detail", "replay captured no forensics");
-            body = stub.json() + "\n";
-          }
-          obs::write_artifact(
-              hooks->forensics_dir,
-              "explore-" + std::to_string(en.global_indices[i]) + ".json",
-              body);
-        }
-      });
-  if (tracing && hooks->trace_times) {
-    sweep::Record close;
-    // "stable":false: wall-clock record, skippable mechanically.
-    close.str("obs", "span")
-        .str("span", "sweep")
-        .str("mode", "explore")
-        .boolean("stable", false)
-        .u64("scenarios", instances.size())
-        .u64("elapsed_ns",
-             static_cast<std::uint64_t>(
-                 std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count()));
-    hooks->trace->append(close);
-  }
-  ExploreSummary sum = fold.finish();
-  if (sink != nullptr && o.shard.active()) {
-    sink->append(
-        sweep::shard_trailer_record(o.shard, instances.size(), sum.digest));
-  }
-  sum.wall_ns_total = wall_ns_total;
-  sum.elapsed_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  return sum;
+  return sweep::run_engine<ExploreMode>(o, progress_every, sink, hooks);
 }
 
 // ---- persisted-record parsing (the --replay path) -----------------------
-
-namespace {
-
-std::optional<std::string> field_str(const std::string& line,
-                                     const std::string& name) {
-  const std::string needle = "\"" + name + "\":\"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  const std::size_t begin = at + needle.size();
-  std::string out;
-  for (std::size_t i = begin; i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '"') return out;
-    if (c == '\\') return std::nullopt;  // no escapes in replayable fields
-    out += c;
-  }
-  return std::nullopt;
-}
-
-std::optional<std::uint64_t> field_u64(const std::string& line,
-                                       const std::string& name) {
-  const std::string needle = "\"" + name + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  std::size_t i = at + needle.size();
-  if (i >= line.size() || line[i] < '0' || line[i] > '9') return std::nullopt;
-  std::uint64_t v = 0;
-  for (; i < line.size() && line[i] >= '0' && line[i] <= '9'; ++i) {
-    v = v * 10 + static_cast<std::uint64_t>(line[i] - '0');
-  }
-  return v;
-}
-
-std::optional<bool> field_bool(const std::string& line,
-                               const std::string& name) {
-  const std::string needle = "\"" + name + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  if (line.compare(at + needle.size(), 4, "true") == 0) return true;
-  if (line.compare(at + needle.size(), 5, "false") == 0) return false;
-  return std::nullopt;
-}
-
-std::optional<std::uint64_t> field_hex(const std::string& line,
-                                       const std::string& name) {
-  const std::optional<std::string> s = field_str(line, name);
-  if (!s || s->size() < 3 || s->compare(0, 2, "0x") != 0) return std::nullopt;
-  std::uint64_t v = 0;
-  for (std::size_t i = 2; i < s->size(); ++i) {
-    const char c = (*s)[i];
-    int digit;
-    if (c >= '0' && c <= '9') digit = c - '0';
-    else if (c >= 'a' && c <= 'f') digit = 10 + (c - 'a');
-    else return std::nullopt;
-    v = (v << 4) | static_cast<std::uint64_t>(digit);
-  }
-  return v;
-}
-
-}  // namespace
 
 std::optional<PersistedTrace> parse_explore_record(const std::string& line,
                                                    std::string* error) {
@@ -738,14 +595,14 @@ std::optional<PersistedTrace> parse_explore_record(const std::string& line,
     if (error != nullptr) *error = why;
     return std::nullopt;
   };
-  if (field_str(line, "mode").value_or("") != "explore") {
+  if (sweep::field_str(line, "mode").value_or("") != "explore") {
     return fail("not an explore record (mode != \"explore\")");
   }
   PersistedTrace out;
-  const auto objective = field_str(line, "objective");
-  const auto strategy = field_str(line, "strategy");
-  const auto target = field_str(line, "target");
-  const auto trace = field_str(line, "trace");
+  const auto objective = sweep::field_str(line, "objective");
+  const auto strategy = sweep::field_str(line, "strategy");
+  const auto target = sweep::field_str(line, "target");
+  const auto trace = sweep::field_str(line, "trace");
   if (!objective || !strategy || !target || !trace) {
     return fail("record is missing objective/strategy/target/trace");
   }
@@ -775,35 +632,25 @@ std::optional<PersistedTrace> parse_explore_record(const std::string& line,
     else return fail("unknown algorithm '" + *target + "'");
     e.semantics = sim::Semantics::kLinearizable;
   }
-  const auto processes = field_u64(line, "processes");
-  const auto rounds = field_u64(line, "rounds");
-  const auto writes = field_u64(line, "writes");
-  const auto max_actions = field_u64(line, "max_actions");
-  const auto seed = field_u64(line, "seed");
-  const auto budget = field_u64(line, "budget");
-  const auto write_back = field_bool(line, "write_back");
-  const auto fallback_seed = field_u64(line, "fallback_seed");
-  const auto fingerprint = field_hex(line, "fingerprint");
-  const auto best_score = field_u64(line, "best_score");
-  if (!processes || !rounds || !writes || !max_actions || !seed || !budget ||
-      !write_back || !fallback_seed || !fingerprint || !best_score) {
+  if (!sweep::FieldReader(line)
+           .u64("processes", e.processes)
+           .u64("rounds", e.max_rounds)
+           .u64("writes", e.writes_per_process)
+           .u64("max_actions", e.max_actions)
+           .u64("seed", e.seed)
+           .u64("budget", e.search_budget)
+           .boolean("write_back", e.abd_read_write_back)
+           .u64("fallback_seed", out.fallback_seed)
+           .hex("fingerprint", out.fingerprint)
+           .u64("best_score", out.best_score)
+           .ok()) {
     return fail("record is missing config fields");
   }
-  e.processes = static_cast<int>(*processes);
-  e.max_rounds = static_cast<int>(*rounds);
-  e.writes_per_process = static_cast<int>(*writes);
-  e.max_actions = *max_actions;
-  e.seed = *seed;
-  e.search_budget = static_cast<int>(*budget);
-  e.abd_read_write_back = *write_back;
   // Absent in pre-fault-fabric stores; those traces ran without the menu.
-  e.fault_menu = field_bool(line, "fault_menu").value_or(false);
+  e.fault_menu = sweep::field_bool(line, "fault_menu").value_or(false);
   const std::optional<ScheduleTrace> decoded = decode_trace(*trace);
   if (!decoded) return fail("malformed trace field");
   out.trace = *decoded;
-  out.fallback_seed = *fallback_seed;
-  out.fingerprint = *fingerprint;
-  out.best_score = *best_score;
   return out;
 }
 

@@ -29,9 +29,11 @@
 // count and batch size.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "explore/trace.hpp"
@@ -219,12 +221,17 @@ struct ExploreSummary {
   std::uint64_t digest = 0;
   /// Measured, NOT digest material:
   std::uint64_t wall_ns_total = 0;
+  std::uint64_t wall_ns_max = 0;  ///< Slowest single instance.
   std::uint64_t elapsed_ns = 0;
   std::vector<std::string> failures;
   std::uint64_t failures_truncated = 0;
 
   /// Deterministic section, byte-identical across runs/threads/batches.
   [[nodiscard]] std::string stable_text() const;
+
+  /// The exit policy: only machinery errors fail an exploration; finding
+  /// a violation is the search doing its job.
+  [[nodiscard]] bool failed() const noexcept { return errors > 0; }
 };
 
 /// The deterministic half of the exploration aggregate as a composable
@@ -255,24 +262,68 @@ class ExploreFold {
 
   ExploreFold();
 
-  void add(const std::string& key, const Item& it);
+  /// Folds one instance from an Item or from an ExploreOutcome, whose
+  /// fields of the same names are the Item's.
+  template <class In>
+  void add(const std::string& key, const In& it);
 
-  /// The folded summary (timing fields zero).
-  [[nodiscard]] ExploreSummary finish();
+  /// The folded summary (timing fields zero).  `sink` goes unused (see
+  /// sweep::SweepFold::finish).
+  [[nodiscard]] ExploreSummary finish(sweep::RecordSink* sink = nullptr);
 
  private:
   ExploreSummary sum_;
   std::uint64_t index_ = 0;  ///< Global enumeration index of the next add.
 };
 
-/// Runs the search on `o.threads` pool workers through the ordered loop
-/// (sweep/ordered.hpp).  When `sink` is non-null, one canonical record
-/// per instance — including the encoded best trace, replayable via
-/// replay_trace / sweep_main --replay — is appended in enumeration order
-/// by the fold, which runs on the calling thread while the workers go
-/// on.  `hooks` (obs/hooks.hpp) attaches the observability fabric —
-/// trace spans and/or live progress; never digest material (see
-/// sweep::run_sweep).
+/// The exploration's traits for sweep::run_engine (sweep/engine.hpp),
+/// over this shard's enumerated instances.  Forensics artifacts replay
+/// each found violation-objective witness with capture on.
+class ExploreMode {
+ public:
+  using Options = ExploreOptions;
+  using Result = ExploreOutcome;
+  using Fold = ExploreFold;
+  static constexpr std::string_view kind = "explore";
+  // "clean", not "done": the progress protocol's state counter already
+  // uses the "done" key, and every key in a line must be unique.
+  static constexpr std::array<std::string_view, 4> classes{"clean", "found",
+                                                           "other", "err"};
+  static constexpr std::string_view progress_prefix = "[explore] ";
+  static constexpr std::string_view progress_unit = "instances";
+  static constexpr std::string_view artifact_prefix = "explore-";
+
+  explicit ExploreMode(const ExploreOptions& o)
+      : en_(enumerate_explore_shard(o)) {}
+  [[nodiscard]] std::uint64_t total() const noexcept { return en_.total; }
+  [[nodiscard]] std::uint64_t owned() const { return en_.instances.size(); }
+  [[nodiscard]] std::uint64_t gi(std::uint64_t i) const {
+    return en_.global_indices[i];
+  }
+  [[nodiscard]] std::string key(std::uint64_t i) const {
+    return en_.instances[i].key();
+  }
+  int run(std::uint64_t i, ExploreOutcome& r) const;
+  static void add(ExploreFold& f, const std::string& key,
+                  const ExploreOutcome& r) {
+    f.add(key, r);
+  }
+  void record(sweep::Record& rec, std::uint64_t i,
+              const ExploreOutcome& r) const;
+  static void span(sweep::Record& span, const ExploreOutcome& r, bool times);
+  [[nodiscard]] std::string artifact(std::uint64_t i, const std::string& key,
+                                     const ExploreOutcome& r) const;
+  static bool parse(std::string_view line, const std::string& key,
+                    ExploreOutcome& r);
+
+ private:
+  ExploreEnumeration en_;
+};
+
+/// Runs the search through sweep::run_engine<ExploreMode> (see
+/// sweep::run_sweep for the contract).  Each store record includes the
+/// encoded best trace, replayable via replay_trace / sweep_main
+/// --replay.
 [[nodiscard]] ExploreSummary run_explore(const ExploreOptions& o,
                                          std::uint64_t progress_every = 0,
                                          sweep::RecordSink* sink = nullptr,

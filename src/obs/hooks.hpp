@@ -1,6 +1,6 @@
 // The observability configuration the CLI threads into the sweep
-// engines (`run_sweep` / `run_term_sweep` / `run_explore`).  All fields
-// default to "off"; a null Hooks pointer means no observability at all.
+// engine (`sweep::run_engine`, sweep/engine.hpp).  All fields default
+// to "off"; a null Hooks pointer means no observability at all.
 #pragma once
 
 #include <cstdint>

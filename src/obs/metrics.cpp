@@ -46,7 +46,6 @@ constexpr std::array<MetricInfo, kNumCounters> kCounterInfo{{
     {"explore.runs", true},
     {"explore.shrink_probes", true},
     {"explore.steps", true},
-    {"pool.steals", false},
     {"pool.tasks", false},
 }};
 

@@ -78,7 +78,6 @@ enum class Counter : int {
   kExploreShrinkProbes,
   kExploreSteps,
   // Runtime (execution-dependent; excluded from stability assertions).
-  kPoolSteals,
   kPoolTasks,
   kCount_,
 };

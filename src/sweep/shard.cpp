@@ -3,10 +3,7 @@
 #include <stdexcept>
 
 #include "explore/explore.hpp"
-#include "sweep/fnv.hpp"
-#include "sweep/scenario.hpp"
 #include "sweep/sweep.hpp"
-#include "term/term_scenario.hpp"
 #include "term/term_sweep.hpp"
 
 namespace rlt::sweep {
@@ -36,7 +33,7 @@ std::optional<ShardSpec> parse_shard(const std::string& text) {
   return ShardSpec{*index, *count};
 }
 
-Record shard_header_record(const std::string& kind, const ShardSpec& shard,
+Record shard_header_record(std::string_view kind, const ShardSpec& shard,
                            const std::string& config, std::uint64_t total,
                            std::uint64_t records) {
   Record rec;
@@ -64,249 +61,8 @@ Record shard_trailer_record(const ShardSpec& shard, std::uint64_t records,
 }
 
 // ---- merge: parse shard stores, re-fold in global order -----------------
-//
-// The parsers below read back the canonical JSONL this repo's Record
-// class writes: fields in insertion order, strings escaped per RFC 8259.
-// They search by `"name":` needle — safe because every quote inside a
-// value is escaped (`\"`), so a needle can never match inside a value —
-// and fully unescape string fields, because the fold must see exactly
-// the strings the original fold saw.
 
 namespace {
-
-[[nodiscard]] std::optional<std::string> field_str(const std::string& line,
-                                                   const std::string& name) {
-  const std::string needle = "\"" + name + "\":\"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  std::string out;
-  std::size_t i = at + needle.size();
-  while (i < line.size()) {
-    const char c = line[i];
-    if (c == '"') return out;
-    if (c != '\\') {
-      out += c;
-      ++i;
-      continue;
-    }
-    if (i + 1 >= line.size()) return std::nullopt;
-    const char e = line[i + 1];
-    switch (e) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case '/': out += '/'; break;
-      case 'b': out += '\b'; break;
-      case 'f': out += '\f'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'u': {
-        if (i + 5 >= line.size()) return std::nullopt;
-        unsigned v = 0;
-        for (std::size_t k = i + 2; k < i + 6; ++k) {
-          const char h = line[k];
-          v <<= 4;
-          if (h >= '0' && h <= '9') {
-            v |= static_cast<unsigned>(h - '0');
-          } else if (h >= 'a' && h <= 'f') {
-            v |= static_cast<unsigned>(h - 'a' + 10);
-          } else if (h >= 'A' && h <= 'F') {
-            v |= static_cast<unsigned>(h - 'A' + 10);
-          } else {
-            return std::nullopt;
-          }
-        }
-        // The writer only \u-escapes control characters; anything wider
-        // is not a record this repo produced.
-        if (v > 0xFF) return std::nullopt;
-        out += static_cast<char>(v);
-        i += 4;
-        break;
-      }
-      default: return std::nullopt;
-    }
-    i += 2;
-  }
-  return std::nullopt;
-}
-
-[[nodiscard]] std::optional<std::uint64_t> field_u64(const std::string& line,
-                                                     const std::string& name) {
-  const std::string needle = "\"" + name + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  std::size_t i = at + needle.size();
-  if (i >= line.size() || line[i] < '0' || line[i] > '9') return std::nullopt;
-  std::uint64_t v = 0;
-  while (i < line.size() && line[i] >= '0' && line[i] <= '9') {
-    v = v * 10 + static_cast<std::uint64_t>(line[i] - '0');
-    ++i;
-  }
-  return v;
-}
-
-[[nodiscard]] std::optional<bool> field_bool(const std::string& line,
-                                             const std::string& name) {
-  const std::string needle = "\"" + name + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  const std::size_t i = at + needle.size();
-  if (line.compare(i, 4, "true") == 0) return true;
-  if (line.compare(i, 5, "false") == 0) return false;
-  return std::nullopt;
-}
-
-[[nodiscard]] std::optional<std::uint64_t> field_hex(const std::string& line,
-                                                     const std::string& name) {
-  const auto s = field_str(line, name);
-  if (!s || s->size() < 3 || s->compare(0, 2, "0x") != 0) return std::nullopt;
-  std::uint64_t v = 0;
-  for (std::size_t i = 2; i < s->size(); ++i) {
-    const char h = (*s)[i];
-    v <<= 4;
-    if (h >= '0' && h <= '9') {
-      v |= static_cast<std::uint64_t>(h - '0');
-    } else if (h >= 'a' && h <= 'f') {
-      v |= static_cast<std::uint64_t>(h - 'a' + 10);
-    } else {
-      return std::nullopt;
-    }
-  }
-  return v;
-}
-
-/// "term/<family>/…" → the Family enumerator.
-[[nodiscard]] std::optional<term::Family> family_from_key(
-    const std::string& key) {
-  const std::size_t a = key.find('/');
-  if (a == std::string::npos) return std::nullopt;
-  const std::size_t b = key.find('/', a + 1);
-  if (b == std::string::npos) return std::nullopt;
-  const std::string fam = key.substr(a + 1, b - a - 1);
-  for (const term::Family f :
-       {term::Family::kConsensus, term::Family::kComposed,
-        term::Family::kSharedCoin, term::Family::kGame}) {
-    if (fam == term::to_string(f)) return f;
-  }
-  return std::nullopt;
-}
-
-/// The three sweep folds behind one kind switch, so the per-shard digest
-/// check and the global merge share one record-to-fold path.
-class KindFold {
- public:
-  explicit KindFold(const std::string& kind) : kind_(kind) {}
-
-  void add(const std::string& name, const std::string& line) {
-    const auto fail = [&](const std::string& what) {
-      return std::runtime_error(name + ": malformed " + kind_ + " record (" +
-                                what + "): " + line.substr(0, 96));
-    };
-    const auto key = field_str(line, "key");
-    if (!key) throw fail("no key");
-    if (kind_ == "safety") {
-      const auto verdict_s = field_str(line, "verdict");
-      const std::optional<Verdict> verdict =
-          verdict_s ? verdict_from_string(*verdict_s)
-                    : std::optional<Verdict>();
-      const auto steps = field_u64(line, "steps");
-      const auto ops = field_u64(line, "ops");
-      const auto hash = field_hex(line, "history_hash");
-      const auto detail = field_str(line, "detail");
-      if (!verdict || !steps || !ops || !hash || !detail) {
-        throw fail("missing field");
-      }
-      safety_.add(*key, *verdict, *steps, *ops, *hash, *detail);
-    } else if (kind_ == "term") {
-      const auto family = family_from_key(*key);
-      const auto terminated = field_bool(line, "terminated");
-      const auto capped = field_bool(line, "capped");
-      const auto safety_ok = field_bool(line, "safety_ok");
-      const auto error = field_bool(line, "error");
-      const auto rounds = field_u64(line, "rounds");
-      const auto stalled = field_u64(line, "stalled");
-      const auto coin_flips = field_u64(line, "coin_flips");
-      const auto steps = field_u64(line, "steps");
-      const auto hash = field_hex(line, "outcome_hash");
-      const auto detail = field_str(line, "detail");
-      if (!family || !terminated || !capped || !safety_ok || !error ||
-          !rounds || !stalled || !coin_flips || !steps || !hash || !detail) {
-        throw fail("missing field");
-      }
-      term::TermRecord r;
-      r.terminated = *terminated;
-      r.capped = *capped;
-      r.safety_ok = *safety_ok;
-      r.error = *error;
-      r.rounds = static_cast<int>(*rounds);
-      r.stalled = static_cast<int>(*stalled);
-      r.coin_flips = *coin_flips;
-      r.steps = *steps;
-      r.outcome_hash = *hash;
-      r.detail = *detail;
-      term_.add(*key, *family, r);
-    } else {
-      const auto found = field_str(line, "found");
-      const auto runs = field_u64(line, "runs");
-      const auto steps = field_u64(line, "steps");
-      const auto best_score = field_u64(line, "best_score");
-      const auto fingerprint = field_hex(line, "fingerprint");
-      const auto trace_fnv = field_hex(line, "trace_fnv");
-      const auto shrunk = field_bool(line, "shrunk");
-      const auto locally_minimal = field_bool(line, "locally_minimal");
-      const auto shrink_probes = field_u64(line, "shrink_probes");
-      const auto detail = field_str(line, "detail");
-      if (!found || !runs || !steps || !best_score || !fingerprint ||
-          !trace_fnv || !shrunk || !locally_minimal || !shrink_probes ||
-          !detail) {
-        throw fail("missing field");
-      }
-      explore::ExploreFold::Item it;
-      it.best_score = *best_score;
-      it.found_rank = *found == "violation" ? explore::kFoundRankViolation
-                      : *found == "blocked" ? explore::kFoundRankBlocked
-                                            : 0;
-      it.fingerprint = *fingerprint;
-      it.trace_fnv = *trace_fnv;
-      it.runs = *runs;
-      it.total_steps = *steps;
-      it.shrunk = *shrunk;
-      it.locally_minimal = *locally_minimal;
-      it.shrink_probes = *shrink_probes;
-      it.error = *found == "error";
-      it.detail = *detail;
-      explore_.add(*key, it);
-    }
-  }
-
-  /// Finishes the fold and lands the result in `out` (kind-specific
-  /// summary → shared MergeResult fields).  `hist_sink` receives the
-  /// term histograms; pass null for the per-shard digest check.
-  void finish_into(MergeResult* out, RecordSink* hist_sink) {
-    if (kind_ == "safety") {
-      const SweepSummary sum = safety_.finish();
-      out->stable_text = sum.stable_text();
-      out->digest = sum.digest;
-      out->failed = sum.violations > 0 || sum.errors > 0;
-    } else if (kind_ == "term") {
-      const term::TermSummary sum = term_.finish(hist_sink);
-      out->stable_text = sum.stable_text();
-      out->digest = sum.digest;
-      out->failed = sum.safety_violations > 0 || sum.errors > 0;
-    } else {
-      const explore::ExploreSummary sum = explore_.finish();
-      out->stable_text = sum.stable_text();
-      out->digest = sum.digest;
-      out->failed = sum.errors > 0;
-    }
-  }
-
- private:
-  std::string kind_;
-  SweepFold safety_;
-  term::TermFold term_;
-  explore::ExploreFold explore_;
-};
 
 /// One shard store, parsed and validated in isolation.
 struct ParsedShard {
@@ -349,10 +105,6 @@ ParsedShard parse_store(const ShardStore& in) {
   const auto records = field_u64(header, "records");
   if (!kind || !config || !index || !count || !total || !records) {
     throw std::runtime_error(p.name + ": malformed shard header");
-  }
-  if (*kind != "safety" && *kind != "term" && *kind != "explore") {
-    throw std::runtime_error(p.name + ": unknown sweep kind \"" + *kind +
-                             "\"");
   }
   if (*count < 2 || *count > 0xffffffffu || *index >= *count) {
     throw std::runtime_error(p.name + ": shard header index/count out of "
@@ -427,6 +179,58 @@ ParsedShard parse_store(const ShardStore& in) {
   return p;
 }
 
+/// Reads one persisted record back through `Mode` into `fold`: the one
+/// record-to-fold path of the per-shard digest check and the merge.
+template <class Mode>
+void refold(typename Mode::Fold& fold, const std::string& name,
+            const std::string& line) {
+  const std::optional<std::string> key = field_str(line, "key");
+  typename Mode::Result r;
+  if (!key || !Mode::parse(line, *key, r)) {
+    throw std::runtime_error(name + ": malformed " + std::string(Mode::kind) +
+                             " record: " + line.substr(0, 96));
+  }
+  Mode::add(fold, *key, r);
+}
+
+/// Checks every shard's trailer digest, then re-folds the records in
+/// global enumeration order (gi g lives in shard g mod N) into the store
+/// and summary the unsharded run writes, byte for byte.
+template <class Mode>
+MergeResult merge_as(const std::vector<ParsedShard>& shards,
+                     const std::vector<const ParsedShard*>& by_index,
+                     std::uint64_t total) {
+  // A tampered or bit-rotted store fails here, before it can poison the
+  // merged aggregate.
+  for (const ParsedShard& s : shards) {
+    typename Mode::Fold partial;
+    for (const std::string& line : s.lines) refold<Mode>(partial, s.name, line);
+    if (partial.finish(nullptr).digest != s.trailer_digest) {
+      throw std::runtime_error(s.name + ": trailer digest mismatch (the "
+                                        "records do not reproduce the "
+                                        "digest the shard recorded)");
+    }
+  }
+  MergeResult out;
+  typename Mode::Fold global;
+  const std::size_t count = by_index.size();
+  std::vector<std::size_t> cursor(count, 0);
+  for (std::uint64_t gi = 0; gi < total; ++gi) {
+    const ParsedShard& s = *by_index[gi % count];
+    const std::string& line = s.lines[cursor[gi % count]++];
+    refold<Mode>(global, s.name, line);
+    out.store += line;
+    out.store += '\n';
+  }
+  StringSink trailing;
+  const auto sum = global.finish(&trailing);
+  out.store += trailing.text();
+  out.stable_text = sum.stable_text();
+  out.digest = sum.digest;
+  out.failed = sum.failed();
+  return out;
+}
+
 }  // namespace
 
 MergeResult merge_shard_stores(const std::vector<ShardStore>& stores) {
@@ -482,40 +286,19 @@ MergeResult merge_shard_stores(const std::vector<ShardStore>& stores) {
     }
   }
 
-  // Every shard's records must reproduce its own trailer digest — a
-  // tampered or bit-rotted store fails here, before it can poison the
-  // merged aggregate.
-  for (const ParsedShard& s : shards) {
-    KindFold partial(ref.kind);
-    for (const std::string& line : s.lines) partial.add(s.name, line);
-    MergeResult check;
-    partial.finish_into(&check, nullptr);
-    if (check.digest != s.trailer_digest) {
-      throw std::runtime_error(s.name + ": trailer digest mismatch (the "
-                                        "records do not reproduce the "
-                                        "digest the shard recorded)");
-    }
-  }
-
-  // Reconstitute global enumeration order — gi g lives in shard g mod N
-  // — re-folding as we go.  The result is the store and summary the
-  // unsharded run writes, byte for byte.
-  MergeResult out;
+  // The one per-kind step: select the Mode.
+  MergeResult out =
+      ref.kind == SafetyMode::kind
+          ? merge_as<SafetyMode>(shards, by_index, ref.total)
+      : ref.kind == term::TermMode::kind
+          ? merge_as<term::TermMode>(shards, by_index, ref.total)
+      : ref.kind == explore::ExploreMode::kind
+          ? merge_as<explore::ExploreMode>(shards, by_index, ref.total)
+          : throw std::runtime_error(ref.name + ": unknown sweep kind \"" +
+                                     ref.kind + "\"");
   out.kind = ref.kind;
   out.shards = count;
   out.records = ref.total;
-  KindFold global(ref.kind);
-  std::vector<std::size_t> cursor(count, 0);
-  for (std::uint64_t gi = 0; gi < ref.total; ++gi) {
-    const ParsedShard& s = *by_index[gi % count];
-    const std::string& line = s.lines[cursor[gi % count]++];
-    global.add(s.name, line);
-    out.store += line;
-    out.store += '\n';
-  }
-  StringSink hist_sink;
-  global.finish_into(&out, &hist_sink);
-  out.store += hist_sink.text();
   return out;
 }
 

@@ -24,9 +24,12 @@
 //     (SweepFold / TermFold / ExploreFold, declared next to their
 //     summaries) whose inputs are exactly the fields persisted in the
 //     store records.  A shard store therefore *is* the serialized fold
-//     partial: the merge re-folds the records in global order and lands
-//     on the identical digest, counters, failure list, and
-//     "... and N more" truncation marker the unsharded fold computes.
+//     partial: the merge selects the sweep's Mode (sweep/engine.hpp) by
+//     the header's kind, parses each record back into the fold input
+//     with Mode::parse, re-folds in global order with the Mode::add the
+//     engine used, and lands on the identical digest, counters, failure
+//     list, and "... and N more" truncation marker the unsharded fold
+//     computes.
 //
 //  3. A sharded store brackets its records with a header and a trailer
 //     line (written only when N > 1, so unsharded stores keep their
@@ -44,9 +47,12 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "sweep/store.hpp"
+#include "util/append.hpp"
 
 namespace rlt::sweep {
 
@@ -76,11 +82,27 @@ struct ShardSpec {
 /// and anything that is not two plain decimal integers around one '/'.
 [[nodiscard]] std::optional<ShardSpec> parse_shard(const std::string& text);
 
+/// One axis of a sweep's canonical config key (the `config` of a shard
+/// header): the values comma-joined, enums by their to_string name.
+template <class T>
+[[nodiscard]] std::string join_axis(const std::vector<T>& values) {
+  std::string out;
+  for (const T& v : values) {
+    if (!out.empty()) out += ',';
+    if constexpr (std::is_enum_v<T>) {
+      out += to_string(v);
+    } else {
+      util::append_int(out, v);
+    }
+  }
+  return out;
+}
+
 /// The shard-store header line.  `kind` is "safety", "term", or
 /// "explore"; `config` is the sweep's canonical config key (every shard
 /// of one logical sweep must agree on it); `total` the full
 /// cross-product size; `records` how many scenario records follow.
-[[nodiscard]] Record shard_header_record(const std::string& kind,
+[[nodiscard]] Record shard_header_record(std::string_view kind,
                                          const ShardSpec& shard,
                                          const std::string& config,
                                          std::uint64_t total,
@@ -110,10 +132,8 @@ struct MergeResult {
   std::string store;        ///< Merged canonical JSONL.
   std::string stable_text;  ///< Reconstituted aggregate summary.
   std::uint64_t digest = 0; ///< The aggregate digest (== unsharded).
-  /// Mirrors the sweep's own exit contract: true iff the merged summary
-  /// contains what would have failed the unsharded run (safety:
-  /// violations/errors; term: safety violations/errors; explore:
-  /// errors).  Validation problems throw instead.
+  /// The merged summary's failed(): the same exit policy as the
+  /// unsharded run.  Validation problems throw instead.
   bool failed = false;
 };
 

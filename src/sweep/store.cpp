@@ -1,5 +1,6 @@
 #include "sweep/store.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <stdexcept>
 
@@ -39,7 +40,84 @@ void append_escaped(std::string& out, std::string_view s) {
   out += '"';
 }
 
+/// Offset of `name`'s value in `line`, or npos when the field is absent.
+std::size_t value_at(std::string_view line, std::string_view name) {
+  const std::string needle = "\"" + std::string(name) + "\":";
+  const std::size_t at = line.find(needle);
+  return at == std::string_view::npos ? at : at + needle.size();
+}
+
 }  // namespace
+
+std::optional<std::string> field_str(std::string_view line,
+                                     std::string_view name) {
+  std::size_t i = value_at(line, name);
+  if (i >= line.size() || line[i] != '"') return std::nullopt;
+  std::string out;
+  for (++i; i < line.size(); ++i) {
+    const char c = line[i];
+    if (c == '"') return out;
+    if (c != '\\') {
+      out += c;
+      continue;
+    }
+    if (++i >= line.size()) return std::nullopt;
+    switch (line[i]) {
+      case '"': case '\\': case '/': out += line[i]; break;
+      case 'b': out += '\b'; break;
+      case 'f': out += '\f'; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        // The writer \u-escapes control characters only; anything wider
+        // is not a record this repo produced.
+        if (i + 5 > line.size()) return std::nullopt;
+        unsigned v = 0;
+        const char* end = line.data() + i + 5;
+        const auto [p, ec] = std::from_chars(line.data() + i + 1, end, v, 16);
+        if (ec != std::errc() || p != end || v > 0xFF) return std::nullopt;
+        out += static_cast<char>(v);
+        i += 4;
+        break;
+      }
+      default: return std::nullopt;
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<std::uint64_t> field_u64(std::string_view line,
+                                       std::string_view name) {
+  const std::size_t i = value_at(line, name);
+  if (i >= line.size()) return std::nullopt;
+  std::uint64_t v = 0;
+  // Digits only (no sign); out of range above UINT64_MAX.
+  if (std::from_chars(line.data() + i, line.data() + line.size(), v).ec !=
+      std::errc()) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+std::optional<bool> field_bool(std::string_view line, std::string_view name) {
+  const std::size_t i = value_at(line, name);
+  if (i >= line.size()) return std::nullopt;
+  if (line.compare(i, 4, "true") == 0) return true;
+  if (line.compare(i, 5, "false") == 0) return false;
+  return std::nullopt;
+}
+
+std::optional<std::uint64_t> field_hex(std::string_view line,
+                                       std::string_view name) {
+  const std::optional<std::string> s = field_str(line, name);
+  if (!s || s->size() < 3 || s->compare(0, 2, "0x") != 0) return std::nullopt;
+  std::uint64_t v = 0;
+  const char* end = s->data() + s->size();
+  const auto [p, ec] = std::from_chars(s->data() + 2, end, v, 16);
+  if (ec != std::errc() || p != end) return std::nullopt;
+  return v;
+}
 
 std::string json_escape(std::string_view s) {
   std::string out;

@@ -18,8 +18,10 @@
 
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace rlt::sweep {
 
@@ -46,6 +48,58 @@ class Record {
 
 /// Escapes `s` as a JSON string literal (including the quotes).
 [[nodiscard]] std::string json_escape(std::string_view s);
+
+/// Read one field back from a record line Record wrote (the shard merge
+/// and the --replay path).  Each finds the field by its `"name":`
+/// needle, which never matches inside a value because every quote in a
+/// value is escaped.  nullopt when the field is absent or not of the
+/// asked type: field_str unescapes fully, field_u64 rejects values
+/// above UINT64_MAX, field_hex reads the "0x…" form hex() writes.
+[[nodiscard]] std::optional<std::string> field_str(std::string_view line,
+                                                   std::string_view name);
+[[nodiscard]] std::optional<std::uint64_t> field_u64(std::string_view line,
+                                                     std::string_view name);
+[[nodiscard]] std::optional<bool> field_bool(std::string_view line,
+                                             std::string_view name);
+[[nodiscard]] std::optional<std::uint64_t> field_hex(std::string_view line,
+                                                     std::string_view name);
+
+/// Reads fields into variables, the mirror of Record:
+///   FieldReader(line).u64("steps", r.steps).str("detail", r.detail).ok()
+/// ok() turns false once a field is absent, of another type, or out of
+/// its variable's range; such a field leaves its variable untouched.
+class FieldReader {
+ public:
+  explicit FieldReader(std::string_view line) : line_(line) {}
+  FieldReader& str(std::string_view name, std::string& out) {
+    return take(field_str(line_, name), out);
+  }
+  template <class Int>
+  FieldReader& u64(std::string_view name, Int& out) {
+    const std::optional<std::uint64_t> v = field_u64(line_, name);
+    return take(v && std::in_range<Int>(*v)
+                    ? std::optional<Int>(static_cast<Int>(*v))
+                    : std::nullopt,
+                out);
+  }
+  FieldReader& hex(std::string_view name, std::uint64_t& out) {
+    return take(field_hex(line_, name), out);
+  }
+  FieldReader& boolean(std::string_view name, bool& out) {
+    return take(field_bool(line_, name), out);
+  }
+  [[nodiscard]] bool ok() const noexcept { return ok_; }
+
+ private:
+  template <class T>
+  FieldReader& take(std::optional<T> v, T& out) {
+    if (v) out = std::move(*v);
+    ok_ = ok_ && v.has_value();
+    return *this;
+  }
+  std::string_view line_;
+  bool ok_ = true;
+};
 
 /// Where per-scenario records go.  `append` is called in enumeration
 /// order, exactly once per scenario, from one thread (the sweep's fold)

@@ -17,8 +17,10 @@
 // diff digests across commits.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sweep/scenario.hpp"
@@ -144,6 +146,12 @@ struct SweepSummary {
   /// The deterministic part, one line per field, byte-identical across
   /// runs with equal options.  (Timing fields are deliberately absent.)
   [[nodiscard]] std::string stable_text() const;
+
+  /// The exit policy: violations and errors fail the sweep; blocked runs
+  /// are the fault axes doing their job.
+  [[nodiscard]] bool failed() const noexcept {
+    return violations > 0 || errors > 0;
+  }
 };
 
 /// The deterministic half of the sweep aggregate as a composable fold:
@@ -167,30 +175,75 @@ class SweepFold {
            const std::string& detail);
 
   /// The folded summary; wall-clock fields are zero (callers that
-  /// measured time fill them in afterwards).
-  [[nodiscard]] SweepSummary finish();
+  /// measured time fill them in afterwards).  The safety sweep appends
+  /// no trailing records, so `sink` goes unused; every fold takes it so
+  /// that sweep/engine.hpp finishes them alike.
+  [[nodiscard]] SweepSummary finish(RecordSink* sink = nullptr);
 
  private:
   SweepSummary sum_;
 };
 
-/// Runs the sweep on `o.threads` pool workers through the ordered loop
-/// (sweep/ordered.hpp): scenarios are decoded from their global index
-/// as they run, and the calling thread folds them in enumeration order
-/// while the workers go on, so memory does not grow with the sweep.
+/// The safety sweep's traits for run_engine (sweep/engine.hpp).  The
+/// cross-product is a decoder, the one enumeration path of the safety
+/// sweep: seeds are the outermost axis, so the configs one seed expands
+/// to (algorithm, semantics, adversary, process count, fault plan, in
+/// that nesting order) are built once, and the scenario at global index
+/// gi is config gi % |configs| with seed seed_begin + gi / |configs|.
+/// Each scenario is decoded when a worker runs it and again when the
+/// fold keys it, so the engine holds no per-scenario list.
+class SafetyMode {
+ public:
+  using Options = SweepOptions;
+  using Result = ScenarioResult;
+  using Fold = SweepFold;
+  static constexpr std::string_view kind = "safety";
+  static constexpr std::array<std::string_view, 4> classes{"ok", "viol",
+                                                           "blocked", "err"};
+  static constexpr std::string_view progress_prefix = "[sweep] ";
+  static constexpr std::string_view progress_unit = "scenarios";
+  static constexpr std::string_view artifact_prefix = "scenario-";
+
+  explicit SafetyMode(const SweepOptions& o);
+  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
+  [[nodiscard]] std::uint64_t owned() const noexcept {
+    return shard_.share(total_);
+  }
+  /// Global index of this shard's i-th scenario (round robin).
+  [[nodiscard]] std::uint64_t gi(std::uint64_t i) const noexcept {
+    return shard_.index + i * shard_.count;
+  }
+  /// The scenario at global index `gi` (< total()).
+  [[nodiscard]] Scenario at(std::uint64_t gi) const;
+  [[nodiscard]] std::string key(std::uint64_t i) const {
+    return at(gi(i)).key();
+  }
+  int run(std::uint64_t i, ScenarioResult& r) const;
+  static void add(SweepFold& f, const std::string& key,
+                  const ScenarioResult& r) {
+    f.add(key, r.verdict, r.steps, r.ops, r.history_hash, r.detail);
+  }
+  void record(Record& rec, std::uint64_t i, const ScenarioResult& r) const;
+  static void span(Record& span, const ScenarioResult& r, bool times);
+  [[nodiscard]] std::string artifact(std::uint64_t i, const std::string& key,
+                                     const ScenarioResult& r) const;
+  static bool parse(std::string_view line, const std::string& key,
+                    ScenarioResult& r);
+
+ private:
+  ShardSpec shard_;
+  std::uint64_t seed_begin_;
+  std::vector<Scenario> configs_;
+  std::uint64_t total_ = 0;
+};
+
+/// Runs the sweep through run_engine<SafetyMode> (sweep/engine.hpp):
+/// scenarios run on `o.threads` workers and are folded in enumeration
+/// order while the workers go on, so memory does not grow with the
+/// sweep, and the digest, the store bytes (`sink`) and the trace spans
+/// (`hooks`) are independent of thread count and batch size.
 /// `progress_every` > 0 prints a line to stderr every that-many
-/// completed scenarios.  When `sink` is non-null, one canonical record
-/// per scenario is appended in enumeration order by that fold — so the
-/// store's bytes, like the digest, are independent of thread count and
-/// batch size.
-///
-/// `hooks` (obs/hooks.hpp) attaches the observability fabric: a trace
-/// sink receiving one span record per scenario (enumeration order,
-/// byte-stable across threads/batch unless `trace_times` opts into
-/// wall-clock fields) and/or a live ProgressMeter (stderr heartbeat +
-/// progress fd).  All of it is observability, never digest material:
-/// the summary, digest, and store bytes are identical with or without
-/// hooks.
+/// completed scenarios.  Observability hooks are never digest material.
 [[nodiscard]] SweepSummary run_sweep(const SweepOptions& o,
                                      std::uint64_t progress_every = 0,
                                      RecordSink* sink = nullptr,

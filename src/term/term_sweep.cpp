@@ -1,14 +1,13 @@
 #include "term/term_sweep.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <iomanip>
+#include <optional>
 #include <sstream>
 
-#include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
+#include "sweep/engine.hpp"
 #include "sweep/fnv.hpp"
-#include "sweep/ordered.hpp"
 #include "util/assert.hpp"
 
 namespace rlt::term {
@@ -35,23 +34,11 @@ std::string fixed_ratio(std::uint64_t num, std::uint64_t den, int digits) {
 
 std::string config_key(const TermSweepOptions& o) {
   std::ostringstream os;
-  os << "families=";
-  for (std::size_t i = 0; i < o.families.size(); ++i) {
-    os << (i ? "," : "") << to_string(o.families[i]);
-  }
-  os << " advs=";
-  for (std::size_t i = 0; i < o.adversaries.size(); ++i) {
-    os << (i ? "," : "") << to_string(o.adversaries[i]);
-  }
-  os << " procs=";
-  for (std::size_t i = 0; i < o.process_counts.size(); ++i) {
-    os << (i ? "," : "") << o.process_counts[i];
-  }
-  os << " rounds=";
-  for (std::size_t i = 0; i < o.round_budgets.size(); ++i) {
-    os << (i ? "," : "") << o.round_budgets[i];
-  }
-  os << " seeds=" << o.seed_begin << ':' << o.seed_end
+  os << "families=" << sweep::join_axis(o.families)
+     << " advs=" << sweep::join_axis(o.adversaries)
+     << " procs=" << sweep::join_axis(o.process_counts)
+     << " rounds=" << sweep::join_axis(o.round_budgets)
+     << " seeds=" << o.seed_begin << ':' << o.seed_end
      << " max-actions=" << o.max_actions_per_scenario;
   return os.str();
 }
@@ -257,124 +244,79 @@ TermSummary TermFold::finish(sweep::RecordSink* sink) {
 
 namespace {
 
-/// Progress outcome class of a termination record (the four class slots
-/// of the progress protocol: term / capped / other / err).
-int progress_class(const TermRecord& r) noexcept {
-  if (r.error || !r.safety_ok) return 3;
-  if (r.terminated) return 0;
-  if (r.capped) return 1;
-  return 2;
+/// "term/<family>/…" → the Family enumerator.
+std::optional<Family> family_from_key(std::string_view key) {
+  if (!key.starts_with("term/")) return std::nullopt;
+  key.remove_prefix(5);
+  for (std::size_t f = 0; f < kFamilies; ++f) {
+    const std::string_view name = to_string(static_cast<Family>(f));
+    if (key.starts_with(name) && key.substr(name.size()).starts_with('/')) {
+      return static_cast<Family>(f);
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace
 
+int TermMode::run(std::uint64_t i, TermRecord& r) const {
+  r = run_term_scenario(en_.scenarios[i]);
+  if (obs::enabled()) {
+    obs::count(obs::Counter::kTermCoinFlips, r.coin_flips);
+    if (r.capped) obs::count(obs::Counter::kTermCapped);
+  }
+  // The progress classes: term / capped / other / err.
+  if (r.error || !r.safety_ok) return 3;
+  if (r.terminated) return 0;
+  return r.capped ? 1 : 2;
+}
+
+void TermMode::add(TermFold& f, const std::string& key, const TermRecord& r) {
+  f.add(key, *family_from_key(key), r);
+}
+
+void TermMode::record(sweep::Record& rec, std::uint64_t,
+                      const TermRecord& r) const {
+  rec.boolean("terminated", r.terminated)
+      .boolean("capped", r.capped)
+      .boolean("safety_ok", r.safety_ok)
+      .boolean("error", r.error)
+      .u64("rounds", static_cast<std::uint64_t>(r.rounds))
+      .u64("stalled", static_cast<std::uint64_t>(r.stalled))
+      .u64("coin_flips", r.coin_flips)
+      .u64("steps", r.steps)
+      .hex("outcome_hash", r.outcome_hash)
+      .str("detail", r.detail);
+}
+
+void TermMode::span(sweep::Record& s, const TermRecord& r, bool times) {
+  s.boolean("terminated", r.terminated)
+      .boolean("capped", r.capped)
+      .u64("rounds", static_cast<std::uint64_t>(r.rounds))
+      .u64("steps", r.steps);
+  if (times) s.u64("wall_ns", r.wall_ns);
+}
+
+bool TermMode::parse(std::string_view line, const std::string& key,
+                     TermRecord& r) {
+  return family_from_key(key) && sweep::FieldReader(line)
+                                     .boolean("terminated", r.terminated)
+                                     .boolean("capped", r.capped)
+                                     .boolean("safety_ok", r.safety_ok)
+                                     .boolean("error", r.error)
+                                     .u64("rounds", r.rounds)
+                                     .u64("stalled", r.stalled)
+                                     .u64("coin_flips", r.coin_flips)
+                                     .u64("steps", r.steps)
+                                     .hex("outcome_hash", r.outcome_hash)
+                                     .str("detail", r.detail)
+                                     .ok();
+}
+
 TermSummary run_term_sweep(const TermSweepOptions& o,
                            std::uint64_t progress_every,
                            sweep::RecordSink* sink, const obs::Hooks* hooks) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const TermEnumeration en = enumerate_term_shard(o);
-  const std::vector<TermScenario>& scenarios = en.scenarios;
-
-  const bool tracing = hooks != nullptr && hooks->trace != nullptr;
-  if (sink != nullptr && o.shard.active()) {
-    sink->append(sweep::shard_header_record("term", o.shard, config_key(o),
-                                            en.total, scenarios.size()));
-  }
-  sweep::StreamSpec spec;
-  spec.threads = o.threads;
-  spec.batch_size = o.batch_size;
-  spec.hooks = hooks;
-  spec.mode = "term";
-  spec.classes = {"term", "capped", "other", "err"};
-  spec.progress_every = progress_every;
-  spec.progress_prefix = "[term-sweep] ";
-  TermFold fold;
-  std::uint64_t wall_ns_total = 0;
-  std::uint64_t wall_ns_max = 0;
-  // Deterministic fold, streamed: enumeration order, no wall-clock
-  // fields, run on this thread while the workers go on.  The fold inputs
-  // are exactly the persisted record fields, so a merge that re-folds
-  // shard-store records reproduces this summary bit for bit.
-  sweep::stream_ordered<TermRecord>(
-      scenarios.size(), spec,
-      [&scenarios](std::size_t i, TermRecord& r) {
-        r = run_term_scenario(scenarios[i]);
-        if (obs::enabled()) {
-          obs::count(obs::Counter::kTermCoinFlips, r.coin_flips);
-          if (r.capped) obs::count(obs::Counter::kTermCapped);
-        }
-        return progress_class(r);
-      },
-      [&](std::size_t i, const TermRecord& r,
-          const obs::CounterDelta* delta) {
-        wall_ns_total += r.wall_ns;
-        if (r.wall_ns > wall_ns_max) wall_ns_max = r.wall_ns;
-        const std::string key = scenarios[i].key();
-        fold.add(key, scenarios[i].family, r);
-        if (sink != nullptr) {
-          sweep::Record rec;
-          rec.u64("gi", en.global_indices[i])
-              .str("key", key)
-              .str("mode", "term")
-              .boolean("terminated", r.terminated)
-              .boolean("capped", r.capped)
-              .boolean("safety_ok", r.safety_ok)
-              .boolean("error", r.error)
-              .u64("rounds", static_cast<std::uint64_t>(r.rounds))
-              .u64("stalled", static_cast<std::uint64_t>(r.stalled))
-              .u64("coin_flips", r.coin_flips)
-              .u64("steps", r.steps)
-              .hex("outcome_hash", r.outcome_hash)
-              .str("detail", r.detail);
-          sink->append(rec);
-        }
-        if (tracing) {
-          // Enumeration-order span, byte-stable across threads/batch; wall
-          // clock only under trace_times.
-          sweep::Record span;
-          span.str("obs", "span")
-              .u64("gi", en.global_indices[i])
-              .str("key", key)
-              .str("mode", "term")
-              .boolean("terminated", r.terminated)
-              .boolean("capped", r.capped)
-              .u64("rounds", static_cast<std::uint64_t>(r.rounds))
-              .u64("steps", r.steps);
-          if (hooks->trace_times) span.u64("wall_ns", r.wall_ns);
-          obs::append_stable_deltas(*delta, span);
-          hooks->trace->append(span);
-        }
-      });
-  if (tracing && hooks->trace_times) {
-    sweep::Record close;
-    // "stable":false: wall-clock record, skippable mechanically.
-    close.str("obs", "span")
-        .str("span", "sweep")
-        .str("mode", "term")
-        .boolean("stable", false)
-        .u64("scenarios", scenarios.size())
-        .u64("elapsed_ns",
-             static_cast<std::uint64_t>(
-                 std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count()));
-    hooks->trace->append(close);
-  }
-  // In a sharded store the per-family histogram records are this shard's
-  // PARTIALS (useful for eyeballing a slice; the merge recomputes the
-  // global ones from the scenario records and drops these).
-  TermSummary sum = fold.finish(sink);
-  if (sink != nullptr && o.shard.active()) {
-    sink->append(
-        sweep::shard_trailer_record(o.shard, scenarios.size(), sum.digest));
-  }
-  sum.wall_ns_total = wall_ns_total;
-  sum.wall_ns_max = wall_ns_max;
-  sum.elapsed_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  return sum;
+  return sweep::run_engine<TermMode>(o, progress_every, sink, hooks);
 }
 
 }  // namespace rlt::term

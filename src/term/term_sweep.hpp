@@ -12,8 +12,10 @@
 // diffing with tools/sweep_diff.py.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sweep/shard.hpp"
@@ -127,6 +129,12 @@ struct TermSummary {
   /// rendered with integer arithmetic so the bytes never depend on
   /// floating-point formatting.
   [[nodiscard]] std::string stable_text() const;
+
+  /// The exit policy: broken safety and errors fail the sweep; capped
+  /// runs are Theorem 6 doing its job.
+  [[nodiscard]] bool failed() const noexcept {
+    return safety_violations > 0 || errors > 0;
+  }
 };
 
 /// The deterministic half of the termination aggregate as a composable
@@ -147,7 +155,9 @@ class TermFold {
   /// The folded summary (timing fields zero).  Materializes the
   /// per-family histograms in Family enum order and computes the
   /// survival tail from them; when `sink` is non-null, also appends one
-  /// canonical "term-hist/<family>" record per family present.
+  /// canonical "term-hist/<family>" record per family present (in a
+  /// sharded store, the shard's partials: the merge drops them and
+  /// recomputes the global ones from the scenario records).
   [[nodiscard]] TermSummary finish(sweep::RecordSink* sink);
 
  private:
@@ -157,15 +167,45 @@ class TermFold {
   std::vector<bool> family_present_;
 };
 
-/// Runs the sweep on `o.threads` pool workers through the ordered loop
-/// (sweep/ordered.hpp).  `progress_every` > 0 prints a line to stderr
-/// every that-many completed scenarios.  When `sink` is non-null, one
-/// canonical record per scenario is appended in enumeration order by the
-/// fold, which runs on the calling thread while the workers go on
-/// (byte-stable across thread counts and batch sizes).  `hooks`
-/// (obs/hooks.hpp) attaches the observability fabric — trace spans
-/// and/or live progress; never digest material (see sweep::run_sweep
-/// for the contract).
+/// The termination sweep's traits for sweep::run_engine
+/// (sweep/engine.hpp), over this shard's enumerated scenarios.  A
+/// record's family is read back from its key ("term/<family>/…").
+class TermMode {
+ public:
+  using Options = TermSweepOptions;
+  using Result = TermRecord;
+  using Fold = TermFold;
+  static constexpr std::string_view kind = "term";
+  static constexpr std::array<std::string_view, 4> classes{"term", "capped",
+                                                           "other", "err"};
+  static constexpr std::string_view progress_prefix = "[term-sweep] ";
+  static constexpr std::string_view progress_unit = "scenarios";
+
+  explicit TermMode(const TermSweepOptions& o)
+      : en_(enumerate_term_shard(o)) {}
+  [[nodiscard]] std::uint64_t total() const noexcept { return en_.total; }
+  [[nodiscard]] std::uint64_t owned() const { return en_.scenarios.size(); }
+  [[nodiscard]] std::uint64_t gi(std::uint64_t i) const {
+    return en_.global_indices[i];
+  }
+  [[nodiscard]] std::string key(std::uint64_t i) const {
+    return en_.scenarios[i].key();
+  }
+  int run(std::uint64_t i, TermRecord& r) const;
+  static void add(TermFold& f, const std::string& key, const TermRecord& r);
+  void record(sweep::Record& rec, std::uint64_t i, const TermRecord& r) const;
+  static void span(sweep::Record& span, const TermRecord& r, bool times);
+  static bool parse(std::string_view line, const std::string& key,
+                    TermRecord& r);
+
+ private:
+  TermEnumeration en_;
+};
+
+/// Runs the sweep through sweep::run_engine<TermMode> (see
+/// sweep::run_sweep for the contract: enumeration-order fold while the
+/// workers run, byte-stable store and trace, hooks never digest
+/// material).
 [[nodiscard]] TermSummary run_term_sweep(const TermSweepOptions& o,
                                          std::uint64_t progress_every = 0,
                                          sweep::RecordSink* sink = nullptr,

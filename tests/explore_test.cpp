@@ -343,6 +343,26 @@ TEST(Explore, PersistedRecordsParseAndReplay) {
                    .has_value());
 }
 
+TEST(Explore, PersistedRecordWithSeedAboveUint64MaxIsRejected) {
+  // A seed of 2^64 must not wrap to seed 0 and "reproduce" that run.
+  ExploreOptions o;
+  o.families = {term::Family::kGame};
+  o.round_budgets = {6};
+  o.seed_begin = 0;
+  o.seed_end = 1;
+  o.search_budget = 2;
+  o.shrink_budget = 16;
+  sweep::StringSink sink;
+  (void)run_explore(o, 0, &sink);
+  std::string line = sink.text().substr(0, sink.text().find('\n'));
+  std::string error;
+  ASSERT_TRUE(parse_explore_record(line, &error).has_value()) << error;
+  const std::size_t at = line.find("\"seed\":0,");
+  ASSERT_NE(at, std::string::npos) << line;
+  line.replace(at, 9, "\"seed\":18446744073709551616,");
+  EXPECT_FALSE(parse_explore_record(line, &error).has_value()) << line;
+}
+
 TEST(Explore, EnumerationValidatesItsAxes) {
   ExploreOptions o;
   o.seed_begin = 5;

@@ -11,6 +11,7 @@
 // plausible-looking partial aggregate.
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -24,6 +25,39 @@
 
 namespace rlt::sweep {
 namespace {
+
+// --------------------------------------------------------- field reader ---
+
+TEST(RecordFields, ReadBackWhatRecordWrites) {
+  Record r;
+  r.str("s", "a\"b\\c\n\x01/").u64("max", UINT64_MAX).u64("zero", 0)
+      .hex("h", 0xdeadbeefULL).boolean("t", true).boolean("f", false);
+  const std::string line = r.json();
+  EXPECT_EQ(field_str(line, "s"), std::optional<std::string>("a\"b\\c\n\x01/"));
+  EXPECT_EQ(field_u64(line, "max"), std::optional<std::uint64_t>(UINT64_MAX));
+  EXPECT_EQ(field_u64(line, "zero"), std::optional<std::uint64_t>(0));
+  EXPECT_EQ(field_hex(line, "h"), std::optional<std::uint64_t>(0xdeadbeef));
+  EXPECT_EQ(field_bool(line, "t"), std::optional<bool>(true));
+  EXPECT_EQ(field_bool(line, "f"), std::optional<bool>(false));
+  EXPECT_FALSE(field_u64(line, "absent").has_value());
+  EXPECT_FALSE(field_u64(line, "s").has_value());  // wrong type
+  EXPECT_FALSE(field_str(line, "max").has_value());
+}
+
+TEST(RecordFields, RejectOverflowInsteadOfWrapping) {
+  EXPECT_FALSE(field_u64("{\"n\":18446744073709551616}", "n").has_value());
+  EXPECT_FALSE(field_u64("{\"n\":99999999999999999999}", "n").has_value());
+  EXPECT_FALSE(field_u64("{\"n\":-1}", "n").has_value());
+  EXPECT_FALSE(
+      field_hex("{\"h\":\"0x10000000000000000\"}", "h").has_value());
+  EXPECT_FALSE(field_hex("{\"h\":\"0xfg\"}", "h").has_value());
+  // FieldReader also holds each value to its variable's range.
+  int narrow = 7;
+  EXPECT_FALSE(FieldReader("{\"n\":2147483648}").u64("n", narrow).ok());
+  EXPECT_EQ(narrow, 7);
+  EXPECT_TRUE(FieldReader("{\"n\":2147483647}").u64("n", narrow).ok());
+  EXPECT_EQ(narrow, 2147483647);
+}
 
 // ------------------------------------------------------------ ShardSpec ---
 
@@ -206,6 +240,7 @@ void expect_merge_identity(const Options& base, std::uint32_t shards,
   EXPECT_EQ(m.store, full_sink.text());
   EXPECT_EQ(m.digest, full.digest);
   EXPECT_EQ(m.stable_text, full.stable_text());
+  EXPECT_EQ(m.failed, full.failed());
 }
 
 TEST(ShardMerge, ReconstructsUnshardedSafetyStore) {
@@ -227,6 +262,23 @@ TEST(ShardMerge, ReconstructsUnshardedTermStore) {
   o.seed_end = 4;
   o.threads = 2;
   expect_merge_identity(o, 4, "term",
+                        [](const term::TermSweepOptions& opts,
+                           RecordSink* sink) {
+                          return run_term_sweep(opts, 0, sink);
+                        });
+}
+
+TEST(ShardMerge, ReconstructsFailingTermStore) {
+  // Seeds 32:36 hold the known consensus defect
+  // term/consensus/rand/p4/r64/seed34, so the unsharded sweep fails and
+  // the merge must report the same exit.
+  term::TermSweepOptions o;
+  o.seed_begin = 32;
+  o.seed_end = 36;
+  o.threads = 2;
+  StringSink sink;
+  ASSERT_TRUE(run_term_sweep(o, 0, &sink).failed());
+  expect_merge_identity(o, 3, "term",
                         [](const term::TermSweepOptions& opts,
                            RecordSink* sink) {
                           return run_term_sweep(opts, 0, sink);
@@ -339,6 +391,17 @@ TEST_F(ShardMergeRejection, TamperedRecordFailsTheTrailerDigest) {
   digit = digit == '9' ? '8' : static_cast<char>(digit + 1);
   const std::string err = merge_error(stores);
   EXPECT_NE(err.find("digest"), std::string::npos) << err;
+}
+
+TEST_F(ShardMergeRejection, HeaderIndexAboveUint64MaxIsRejected) {
+  // 2^64 must not wrap to shard 0 and merge as if it were that shard.
+  auto stores = make_stores();
+  std::string& text = stores[0].content;
+  const auto pos = text.find("\"index\":0,");
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, 10, "\"index\":18446744073709551616,");
+  const std::string err = merge_error(stores);
+  EXPECT_NE(err.find("malformed shard header"), std::string::npos) << err;
 }
 
 TEST_F(ShardMergeRejection, UnshardedStoreIsNotAShardStore) {

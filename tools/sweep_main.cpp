@@ -1,7 +1,7 @@
 // sweep_main — CLI driver for the parallel scenario-sweep engine.
 //
-// Three modes share the pool, the digest discipline, and the result
-// store:
+// Three modes run through one engine (sweep/engine.hpp) and share its
+// digest discipline and result store:
 //
 //  * Safety (default): the cross-product of register semantics ×
 //    algorithm × adversary × process count × fault plan × seed, every
@@ -39,7 +39,8 @@
 //       --ablate nowb --search-budget 200 --seeds 0:2 --out cex.jsonl
 //   sweep_main --replay cex.jsonl
 //
-// Exit status: 0 when nothing failed (safety: no VIOLATION/ERROR —
+// Exit status (each summary's failed(), also used by --merge): 0 when
+// nothing failed (safety: no VIOLATION/ERROR —
 // blocked runs are the fault axes doing their job; termination: no
 // safety violation or error — capped runs are Theorem 6 doing its job;
 // exploration: no instance errored — FINDING a violation is the
@@ -55,11 +56,13 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "explore/explore.hpp"
 #include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
+#include "sweep/engine.hpp"
 #include "sweep/store.hpp"
 #include "sweep/sweep.hpp"
 #include "term/term_sweep.hpp"
@@ -70,7 +73,6 @@ using rlt::explore::ExploreOptions;
 using rlt::sweep::AdversaryKind;
 using rlt::sweep::Algorithm;
 using rlt::sweep::SweepOptions;
-using rlt::sweep::SweepSummary;
 using rlt::term::TermSweepOptions;
 
 [[noreturn]] void usage(int code) {
@@ -463,8 +465,14 @@ int run_replay(const std::string& path) {
     if (line.find("\"found\":\"error\"") != std::string::npos) continue;
     std::string err;
     const auto pt = rlt::explore::parse_explore_record(line, &err);
-    if (!pt) continue;  // other record kinds (safety/term) are fine
+    // Other record kinds (safety/term) are fine; a malformed explore
+    // record fails the replay instead of being skipped.
+    if (!pt && rlt::sweep::field_str(line, "mode") != "explore") continue;
     ++replayed;
+    if (!pt) {
+      std::cout << "MALFORMED explore record (" << err << ")\n";
+      continue;
+    }
     const rlt::explore::ReplayReport rep =
         rlt::explore::replay_trace(pt->instance, pt->trace,
                                    pt->fallback_seed);
@@ -861,6 +869,8 @@ int main(int argc, char** argv) {
     // instance per pool task unless the caller asked otherwise.
     eopts.batch_size = batch_set ? opts.batch_size : 1;
   }
+  // Forensics capture in safety runners and explore witness replays.
+  opts.forensics = eopts.forensics = !forensics_dir.empty();
 
   try {
     if (merge_mode) {
@@ -898,117 +908,70 @@ int main(int argc, char** argv) {
                 << "records " << m.records << "\n";
       return m.failed ? 1 : 0;
     }
-    if (list_only) {
-      if (explore_mode) {
-        for (const rlt::explore::ExploreInstance& e :
-             rlt::explore::enumerate_explore_instances(eopts)) {
-          std::cout << e.key() << "\n";
+    // One path for every sweep kind; only the Mode differs.
+    const auto drive = [&](auto mode_tag, const auto& o) -> int {
+      using Mode = typename decltype(mode_tag)::type;
+      if (list_only) {
+        const Mode mode(o);
+        for (std::uint64_t i = 0; i < mode.owned(); ++i) {
+          std::cout << mode.key(i) << "\n";
         }
-      } else if (term_mode) {
-        for (const rlt::term::TermScenario& s :
-             rlt::term::enumerate_term_scenarios(topts)) {
-          std::cout << s.key() << "\n";
-        }
-      } else {
-        for (const rlt::sweep::Scenario& s :
-             rlt::sweep::enumerate_scenarios(opts)) {
-          std::cout << s.key() << "\n";
-        }
+        return 0;
       }
-      return 0;
-    }
-    std::unique_ptr<rlt::sweep::JsonlFileSink> sink;
-    if (!out_path.empty()) {
-      sink = std::make_unique<rlt::sweep::JsonlFileSink>(out_path);
-    }
-    // Observability fabric (never digest material): a metrics dump
-    // and/or trace spans force the registry on; progress needs no
-    // registry at all.
-    if (!metrics_path.empty() || !trace_path.empty()) {
-      rlt::obs::set_enabled(true);
-    }
-    std::unique_ptr<rlt::sweep::JsonlFileSink> trace_sink;
-    if (!trace_path.empty()) {
-      trace_sink = std::make_unique<rlt::sweep::JsonlFileSink>(trace_path);
-    }
-    rlt::obs::Hooks hooks;
-    hooks.trace = trace_sink.get();
-    hooks.trace_times = trace_times;
-    hooks.progress_fd = progress_fd;
-    hooks.heartbeat_ms = heartbeat_ms;
-    if (!forensics_dir.empty()) {
-      std::filesystem::create_directories(forensics_dir);
-      hooks.forensics_dir = forensics_dir;
-      opts.forensics = true;   // capture in the runners...
-      eopts.forensics = true;  // ...and in explore witness replays
-    }
-    const rlt::obs::Hooks* hooks_p =
-        (hooks.trace || hooks.progress_on() || hooks.forensics_on())
-            ? &hooks
-            : nullptr;
-    std::string stable;
-    std::uint64_t elapsed_ns = 0;
-    std::uint64_t wall_ns_total = 0;
-    std::uint64_t wall_ns_max = 0;
-    bool failed = false;
+      std::unique_ptr<rlt::sweep::JsonlFileSink> sink;
+      if (!out_path.empty()) {
+        sink = std::make_unique<rlt::sweep::JsonlFileSink>(out_path);
+      }
+      // Observability fabric (never digest material): a metrics dump
+      // and/or trace spans force the registry on; progress needs no
+      // registry at all.
+      if (!metrics_path.empty() || !trace_path.empty()) {
+        rlt::obs::set_enabled(true);
+      }
+      std::unique_ptr<rlt::sweep::JsonlFileSink> trace_sink;
+      if (!trace_path.empty()) {
+        trace_sink = std::make_unique<rlt::sweep::JsonlFileSink>(trace_path);
+      }
+      rlt::obs::Hooks hooks;
+      hooks.trace = trace_sink.get();
+      hooks.trace_times = trace_times;
+      hooks.progress_fd = progress_fd;
+      hooks.heartbeat_ms = heartbeat_ms;
+      if (!forensics_dir.empty()) {
+        std::filesystem::create_directories(forensics_dir);
+        hooks.forensics_dir = forensics_dir;
+      }
+      const auto sum = rlt::sweep::run_engine<Mode>(
+          o, progress_every, sink.get(),
+          (hooks.trace || hooks.progress_on() || hooks.forensics_on())
+              ? &hooks
+              : nullptr);
+      if (sink) sink->close();
+      if (trace_sink) trace_sink->close();
+      if (!metrics_path.empty()) {
+        rlt::sweep::JsonlFileSink msink(metrics_path);
+        rlt::obs::dump(rlt::obs::snapshot_all(), msink, Mode::kind,
+                       config_key(o));
+        msink.close();
+      }
+      // Deterministic section first (byte-identical across runs), then
+      // timing, which naturally varies.
+      std::cout << sum.stable_text();
+      std::cout << "--- timing (not digest material) ---\n"
+                << "elapsed_ms " << sum.elapsed_ns / 1'000'000 << "\n"
+                << "scenario_ms_total " << sum.wall_ns_total / 1'000'000
+                << "\n"
+                << "scenario_ms_max " << sum.wall_ns_max / 1'000'000 << "\n"
+                << "threads " << o.threads << "\n";
+      return sum.failed() ? 1 : 0;
+    };
     if (explore_mode) {
-      const rlt::explore::ExploreSummary sum =
-          rlt::explore::run_explore(eopts, progress_every, sink.get(),
-                                    hooks_p);
-      stable = sum.stable_text();
-      elapsed_ns = sum.elapsed_ns;
-      wall_ns_total = sum.wall_ns_total;
-      wall_ns_max = 0;
-      // Finding a violation is the search succeeding at its job; only
-      // machinery errors fail an exploration.
-      failed = sum.errors != 0;
-    } else if (term_mode) {
-      const rlt::term::TermSummary sum =
-          rlt::term::run_term_sweep(topts, progress_every, sink.get(),
-                                    hooks_p);
-      stable = sum.stable_text();
-      elapsed_ns = sum.elapsed_ns;
-      wall_ns_total = sum.wall_ns_total;
-      wall_ns_max = sum.wall_ns_max;
-      // Capped runs are Theorem 6 doing its job; only broken safety or
-      // machinery failures fail a termination sweep.
-      failed = sum.safety_violations != 0 || sum.errors != 0;
-    } else {
-      const SweepSummary sum =
-          rlt::sweep::run_sweep(opts, progress_every, sink.get(), hooks_p);
-      stable = sum.stable_text();
-      elapsed_ns = sum.elapsed_ns;
-      wall_ns_total = sum.wall_ns_total;
-      wall_ns_max = sum.wall_ns_max;
-      // Blocked runs are the fault axes doing their job (their histories
-      // were still checked clean up to the block); only violations and
-      // errors fail the sweep.
-      failed = sum.violations != 0 || sum.errors != 0;
+      return drive(std::type_identity<rlt::explore::ExploreMode>{}, eopts);
     }
-    if (sink) sink->close();
-    if (trace_sink) trace_sink->close();
-    if (!metrics_path.empty()) {
-      rlt::sweep::JsonlFileSink msink(metrics_path);
-      const char* mode =
-          explore_mode ? "explore" : (term_mode ? "term" : "safety");
-      const std::string config = explore_mode
-                                     ? rlt::explore::config_key(eopts)
-                                     : (term_mode
-                                            ? rlt::term::config_key(topts)
-                                            : rlt::sweep::config_key(opts));
-      rlt::obs::dump(rlt::obs::snapshot_all(), msink, mode, config);
-      msink.close();
+    if (term_mode) {
+      return drive(std::type_identity<rlt::term::TermMode>{}, topts);
     }
-
-    // Deterministic section first (byte-identical across runs), then
-    // timing, which naturally varies.
-    std::cout << stable;
-    std::cout << "--- timing (not digest material) ---\n"
-              << "elapsed_ms " << elapsed_ns / 1'000'000 << "\n"
-              << "scenario_ms_total " << wall_ns_total / 1'000'000 << "\n"
-              << "scenario_ms_max " << wall_ns_max / 1'000'000 << "\n"
-              << "threads " << opts.threads << "\n";
-    return failed ? 1 : 0;
+    return drive(std::type_identity<rlt::sweep::SafetyMode>{}, opts);
   } catch (const std::exception& e) {
     // Oversized cross-products, unwritable stores, and thread-spawn
     // failures land here.
