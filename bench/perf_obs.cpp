@@ -87,7 +87,7 @@ void BM_SweepInstrumented(benchmark::State& state) {
     sweep::StringSink trace;
     obs::Hooks hooks;
     hooks.trace = &trace;
-    const sweep::SweepSummary sum = sweep::run_sweep(o, 0, nullptr, &hooks);
+    const sweep::SweepSummary sum = sweep::run_sweep(o, &hooks);
     benchmark::DoNotOptimize(sum.digest);
     benchmark::DoNotOptimize(trace.text().size());
     obs::set_enabled(false);

@@ -106,7 +106,7 @@ void BM_SweepSharded(benchmark::State& state) {
                                              /*batch=*/16);
         o.shard = sweep::ShardSpec{i, shards};
         sweep::JsonlFileSink sink(paths.back());
-        (void)sweep::run_sweep(o, 0, &sink);
+        (void)sweep::run_sweep(o, nullptr, &sink);
         sink.close();
         ::_exit(0);
       }

@@ -7,7 +7,8 @@
 // Counters expose the solver-call and memo-cache behaviour so the bench
 // history records WHY a run got faster, not just that it did.
 // BM_WslAlg2Tree / BM_WslAlg2Witness compare the tree search with the
-// witness-first check on the same sweep-shaped Algorithm 2 histories.
+// witness-first check on the same sweep-shaped Algorithm 2 histories, and
+// BM_WslAlg2Tree / BM_WslAlg2TreeNoMemo show what the memo saves there.
 #include <benchmark/benchmark.h>
 
 #include "checker/wsl_checker.hpp"
@@ -189,6 +190,15 @@ void BM_WslAlg2Tree(benchmark::State& state) {
   run_wsl(state, rec.history, {});
 }
 
+/// The same tree search with the memo off: the pair with BM_WslAlg2Tree
+/// shows what the (prefix-tree node, committed sequence) memo saves on
+/// the sweep's own histories.
+void BM_WslAlg2TreeNoMemo(benchmark::State& state) {
+  const sweep::RecordedRun rec = alg2_run(static_cast<int>(state.range(0)),
+                                          static_cast<int>(state.range(1)));
+  run_wsl(state, rec.history, {.memoize = false});
+}
+
 /// The same histories checked witness-first with Algorithm 3's write
 /// order: one exact-order probe per response or commit.
 void BM_WslAlg2Witness(benchmark::State& state) {
@@ -208,6 +218,7 @@ void BM_WslAlg2Witness(benchmark::State& state) {
 }
 
 BENCHMARK(BM_WslAlg2Tree)->Args({3, 2})->Args({4, 4})->Args({5, 8});
+BENCHMARK(BM_WslAlg2TreeNoMemo)->Args({3, 2})->Args({4, 4})->Args({5, 8});
 BENCHMARK(BM_WslAlg2Witness)->Args({3, 2})->Args({4, 4})->Args({5, 8});
 
 }  // namespace

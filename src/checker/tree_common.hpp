@@ -1,14 +1,26 @@
-// Internal helpers shared by the write strong-linearizability and strong
-// linearizability tree checkers: stable operation identities across runs
-// that share a prefix, and event signatures for prefix-tree construction.
+// The prefix-tree search shared by the write strong-linearizability and
+// strong linearizability checkers (Definitions 4 and 3), plus its
+// helpers: stable operation identities across runs that share a prefix,
+// and event signatures for prefix-tree construction.
+//
+// The two definitions differ only in what the committed sequence f(G)
+// holds — the writes for WSL, every operation for strong — so one walk
+// serves both, parameterised by a Probe (see TreeSearch).
 //
 // Not part of the public API.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <ostream>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "checker/spec.hpp"
@@ -175,6 +187,303 @@ bool for_each_ordered_selection(const std::vector<OpKey>& candidates,
     return false;
   };
   return rec(rec);
+}
+
+/// The lazy-commitment search over the prefix tree of a set of runs, for
+/// the property a Probe names.  A Probe supplies, as static members:
+///
+///   kFunction            "write strong-linearization" | "strong linearization"
+///   kCandidates          noun for the ops it may commit ("writes" | "ops")
+///   kHolds, kFails       "feasible"/"infeasible" | "valid"/"invalid"
+///   candidate(op)        may `op` join the committed sequence once invoked?
+///   holds(run, t, initial, committed)
+///                        does the prefix of `run` up to time t admit f(G)
+///                        = some linearization whose committed part is
+///                        exactly `committed`?
+///   why_not(run, nevents, t, initial, committed)
+///                        the reason holds() is false, for the certificate
+///
+/// Search: extend the committed sequence only at events where it has
+/// stopped holding, trying every ordered selection of uncommitted invoked
+/// candidates; branching runs must succeed from the same committed state
+/// on their common prefix.  holds() is a pure function of (event-prefix,
+/// committed sequence), and the pair (prefix-tree node, committed trie
+/// id) identifies both exactly, so the memo below never conflates states.
+template <class Probe>
+struct TreeSearch {
+  std::vector<PreparedRun> runs;
+  /// Per run: prefix-tree node id after k events (see prefix_tree_nodes).
+  std::vector<std::vector<int>> node_ids;
+  Value initial = 0;
+  bool memoize = true;
+  std::size_t solver_calls = 0;  ///< Probe::holds runs (= memo misses)
+  std::size_t cache_hits = 0;
+  std::string first_failure;  ///< certificate of the deepest failure
+  std::size_t deepest_failure_events = 0;
+  std::vector<std::vector<int>> result_orders;  ///< per input run index
+
+  /// Committed-sequence interning: every distinct committed sequence
+  /// reached by the search gets a dense trie id (node 0 = the empty
+  /// sequence); `cid` values are threaded through walk/step alongside the
+  /// committed vector.  Memo keys are then two dense ints — (prefix-tree
+  /// node, committed trie id) — with no vector hashing or copying on the
+  /// probe path.
+  struct TrieNode {
+    std::vector<std::pair<OpKey, int>> children;
+  };
+  std::vector<TrieNode> trie{TrieNode{}};
+
+  int trie_child(int cid, const OpKey& key) {
+    for (const auto& [k, child] : trie[static_cast<std::size_t>(cid)].children) {
+      if (k == key) return child;
+    }
+    const int child = static_cast<int>(trie.size());
+    trie.emplace_back();
+    trie[static_cast<std::size_t>(cid)].children.emplace_back(key, child);
+    return child;
+  }
+
+  static std::uint64_t memo_key(int node, int cid) noexcept {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(node))
+            << 32) |
+           static_cast<std::uint32_t>(cid);
+  }
+  /// Level 1: holds() verdicts per (node, committed).
+  std::unordered_map<std::uint64_t, bool> memo;
+  /// Level 2: decision subtrees proven unsatisfiable per (node,
+  /// committed-at-entry).  Extension retries at shallower events re-reach
+  /// the same (node, committed) states constantly; this skips re-walking
+  /// entire failing subtrees, not just single probes.  Only failures are
+  /// cached (hence a set): successes carry result_orders side effects.
+  std::unordered_set<std::uint64_t> failed_steps;
+
+  /// Probe::holds on the prefix of run `run_idx` with `nevents` (>= 1)
+  /// events, memoized per (prefix-tree node, committed); on failure, the
+  /// reason goes to `why` when it is non-null.
+  bool holds(int run_idx, std::size_t nevents,
+             const std::vector<OpKey>& committed, int cid, std::string* why) {
+    const PreparedRun& run = runs[static_cast<std::size_t>(run_idx)];
+    const Time t = run.events[nevents - 1].time;
+    const std::uint64_t key =
+        memoize
+            ? memo_key(node_ids[static_cast<std::size_t>(run_idx)][nevents],
+                       cid)
+            : 0;
+    const auto hit = memoize ? memo.find(key) : memo.end();
+    bool ok;
+    if (hit != memo.end()) {
+      ++cache_hits;
+      ok = hit->second;
+    } else {
+      ++solver_calls;
+      ok = Probe::holds(run, t, initial, committed);
+      if (memoize) memo.emplace(key, ok);
+    }
+    if (!ok && why != nullptr) {
+      *why = Probe::why_not(run, nevents, t, initial, committed);
+    }
+    return ok;
+  }
+
+  /// Uncommitted candidates already invoked in the prefix — the choices
+  /// for lazy commitment extension.
+  static std::vector<OpKey> extension_candidates(
+      const PreparedRun& run, std::size_t nevents,
+      const std::vector<OpKey>& committed) {
+    const Time t = run.events[nevents - 1].time;
+    std::vector<OpKey> out;
+    for (const OpRecord& op : run.h->ops()) {
+      if (!Probe::candidate(op) || op.invoke > t) continue;
+      const OpKey key = run.op_keys[static_cast<std::size_t>(op.id)];
+      if (std::find(committed.begin(), committed.end(), key) ==
+          committed.end()) {
+        out.push_back(key);
+      }
+    }
+    return out;
+  }
+
+  void note_failure(std::size_t nevents, const std::string& description) {
+    if (nevents >= deepest_failure_events) {
+      deepest_failure_events = nevents;
+      first_failure = description;
+    }
+  }
+
+  bool step(const std::vector<int>& subgroup, std::size_t depth,
+            std::vector<OpKey>& committed, int cid) {
+    const int rep = subgroup.front();
+    const std::size_t nevents = depth + 1;
+
+    // Whole-subtree memo: if this (prefix node, committed) decision state
+    // already failed, every commitment choice below it fails again.
+    const std::uint64_t step_key =
+        memoize
+            ? memo_key(node_ids[static_cast<std::size_t>(rep)][nevents], cid)
+            : 0;
+    if (memoize && failed_steps.contains(step_key)) {
+      ++cache_hits;
+      return false;
+    }
+
+    // Invocation events cannot change holds(): the new op is pending and
+    // uncommitted, and no op completes, so the instance is the parent's
+    // (which held when we were called).  Only responses force a probe.
+    const bool invocation =
+        runs[static_cast<std::size_t>(rep)].events[depth].kind ==
+        Event::Kind::kInvoke;
+
+    std::string why;
+    if (invocation || holds(rep, nevents, committed, cid, &why)) {
+      if (walk(subgroup, nevents, committed, cid)) return true;
+      if (memoize) failed_steps.insert(step_key);
+      return false;
+    }
+
+    // Forced decision point: lazily extend the committed sequence with
+    // some ordered selection of uncommitted invoked candidates.
+    const std::vector<OpKey> candidates = extension_candidates(
+        runs[static_cast<std::size_t>(rep)], nevents, committed);
+    std::ostringstream failure;
+    failure << why << "; tried extensions over " << candidates.size()
+            << " uncommitted " << Probe::kCandidates << ':';
+    const std::size_t base = committed.size();
+    const bool ok = for_each_ordered_selection(
+        candidates, [&](const std::vector<OpKey>& extension) -> bool {
+          committed.resize(base);
+          committed.insert(committed.end(), extension.begin(),
+                           extension.end());
+          int ext_cid = cid;
+          for (const OpKey& key : extension) {
+            ext_cid = trie_child(ext_cid, key);
+          }
+          const auto render = [&extension](std::ostream& os) {
+            os << "\n  + [";
+            for (std::size_t i = 0; i < extension.size(); ++i) {
+              os << (i == 0 ? "" : ", ") << extension[i];
+            }
+            os << ']';
+          };
+          if (!holds(rep, nevents, committed, ext_cid, nullptr)) {
+            render(failure);
+            failure << ' ' << Probe::kFails;
+            return false;
+          }
+          if (walk(subgroup, nevents, committed, ext_cid)) return true;
+          render(failure);
+          failure << ' ' << Probe::kHolds
+                  << " here but fails on a continuation";
+          return false;
+        });
+    if (!ok) {
+      committed.resize(base);
+      note_failure(nevents, failure.str());
+      if (memoize) failed_steps.insert(step_key);
+    }
+    return ok;
+  }
+
+  bool walk(const std::vector<int>& group, std::size_t depth,
+            std::vector<OpKey>& committed, int cid) {
+    // Runs fully consumed at this depth are satisfied; record their final
+    // committed order (op ids in that run).
+    std::vector<int> active;
+    for (const int idx : group) {
+      const PreparedRun& run = runs[static_cast<std::size_t>(idx)];
+      if (run.events.size() <= depth) {
+        std::vector<int> ids;
+        for (const OpKey& key : committed) {
+          const int id = run.id_of(key);
+          if (id >= 0) ids.push_back(id);
+        }
+        result_orders[static_cast<std::size_t>(run.input_index)] =
+            std::move(ids);
+      } else {
+        active.push_back(idx);
+      }
+    }
+    if (active.empty()) return true;
+
+    // Partition the active runs by the signature of their next event.
+    std::vector<std::pair<EventSig, std::vector<int>>> partitions;
+    for (const int idx : active) {
+      const PreparedRun& run = runs[static_cast<std::size_t>(idx)];
+      const EventSig& sig = run.signatures[depth];
+      auto it = std::find_if(partitions.begin(), partitions.end(),
+                             [&sig](const auto& p) { return p.first == sig; });
+      if (it == partitions.end()) {
+        partitions.push_back({sig, {idx}});
+      } else {
+        it->second.push_back(idx);
+      }
+    }
+
+    // Every branch must succeed starting from the same committed state —
+    // decisions inside one branch must not leak into a sibling.
+    const std::vector<OpKey> snapshot = committed;
+    for (const auto& [sig, subgroup] : partitions) {
+      committed = snapshot;
+      if (!step(subgroup, depth, committed, cid)) {
+        committed = snapshot;
+        return false;
+      }
+    }
+    committed = snapshot;
+    return true;
+  }
+};
+
+/// What a tree search reports back to its checker's entry point.
+struct TreeOutcome {
+  bool ok = false;
+  /// On success: per input run, the final committed order (op ids).
+  std::vector<std::vector<int>> orders;
+  /// On failure: the certificate of the deepest failing decision point.
+  std::string explanation;
+  std::size_t solver_calls = 0;
+  std::size_t cache_hits = 0;
+};
+
+/// The one entry path of both tree checkers.  Requires at least one run;
+/// every run a single-register history on the same register with the
+/// same initial value, sequential per process, with at most 64 ops (the
+/// width of for_each_ordered_selection's mask).  Throws
+/// util::InvariantViolation otherwise.
+template <class Probe>
+TreeOutcome check_tree(const std::vector<History>& runs, bool memoize) {
+  RLT_CHECK_MSG(!runs.empty(), "need at least one history");
+  TreeSearch<Probe> search;
+  search.memoize = memoize;
+  search.result_orders.resize(runs.size());
+  const auto reg0 = single_register_of(runs.front());
+  search.initial = runs.front().initial(reg0);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const auto reg = single_register_of(runs[i]);
+    RLT_CHECK_MSG(reg == reg0, "all runs must use the same register");
+    RLT_CHECK_MSG(runs[i].initial(reg) == search.initial,
+                  "all runs must share the initial value");
+    RLT_CHECK_MSG(runs[i].size() <= 64, "runs limited to 64 ops");
+    search.runs.push_back(prepare_run(runs[i], static_cast<int>(i)));
+  }
+  search.node_ids = prefix_tree_nodes(search.runs);
+
+  std::vector<int> group(runs.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) group[i] = static_cast<int>(i);
+  std::vector<OpKey> committed;
+  TreeOutcome out;
+  out.ok = search.walk(group, 0, committed, /*cid=*/0);
+  out.solver_calls = search.solver_calls;
+  out.cache_hits = search.cache_hits;
+  if (out.ok) {
+    out.orders = std::move(search.result_orders);
+  } else {
+    std::ostringstream os;
+    os << "no " << Probe::kFunction
+       << " function exists; deepest failing decision point (after "
+       << search.deepest_failure_events << " events): " << search.first_failure;
+    out.explanation = os.str();
+  }
+  return out;
 }
 
 }  // namespace rlt::checker::detail

@@ -16,13 +16,15 @@
 //     checked by the exact-order mode of the backtracking solver),
 //   * agrees across branches on their common prefix.
 //
-// Search strategy — *lazy commitment*: extend the committed sequence only
-// at events where the current sequence has become infeasible, trying every
-// ordered selection of uncommitted invoked writes.  Lazy search is
-// complete: if any write strong-linearization f exists, truncating each
-// f(G) to its last "forced" write (a completed write, or a write whose
-// value a completed read returned) yields a monotone family reachable by
-// lazy decisions; conversely exhausting all lazy paths proves no f exists.
+// Search strategy (detail::TreeSearch in checker/tree_common.hpp, shared
+// with the strong checker) — *lazy commitment*: extend the committed
+// sequence only at events where the current sequence has become
+// infeasible, trying every ordered selection of uncommitted invoked
+// writes.  Lazy search is complete: if any write strong-linearization f
+// exists, truncating each f(G) to its last "forced" write (a completed
+// write, or a write whose value a completed read returned) yields a
+// monotone family reachable by lazy decisions; conversely exhausting all
+// lazy paths proves no f exists.
 // (See DESIGN.md §5 and the module tests for the full argument.)
 //
 // Witness-first checking.  Most callers already hold a candidate

@@ -581,10 +581,9 @@ bool ExploreMode::parse(std::string_view line, const std::string&,
   return ok;
 }
 
-ExploreSummary run_explore(const ExploreOptions& o,
-                           std::uint64_t progress_every,
-                           sweep::RecordSink* sink, const obs::Hooks* hooks) {
-  return sweep::run_engine<ExploreMode>(o, progress_every, sink, hooks);
+ExploreSummary run_explore(const ExploreOptions& o, const obs::Hooks* hooks,
+                           sweep::RecordSink* sink) {
+  return sweep::run_engine<ExploreMode>(o, hooks, sink);
 }
 
 // ---- persisted-record parsing (the --replay path) -----------------------

@@ -23,7 +23,7 @@
 // runs exhibit the objective (a violation, a blocked run, a round-cap
 // survival) are reduced by the delta-debugging shrinker before they are
 // persisted.  Instances run in parallel on the sweep engine's
-// work-stealing pool; the summary (and the per-instance store records)
+// worker pool; the summary (and the per-instance store records)
 // folds in enumeration order, so — like every aggregate in this repo —
 // its digest is a pure function of the options, independent of thread
 // count and batch size.
@@ -289,8 +289,6 @@ class ExploreMode {
   // uses the "done" key, and every key in a line must be unique.
   static constexpr std::array<std::string_view, 4> classes{"clean", "found",
                                                            "other", "err"};
-  static constexpr std::string_view progress_prefix = "[explore] ";
-  static constexpr std::string_view progress_unit = "instances";
   static constexpr std::string_view artifact_prefix = "explore-";
 
   explicit ExploreMode(const ExploreOptions& o)
@@ -325,9 +323,8 @@ class ExploreMode {
 /// encoded best trace, replayable via replay_trace / sweep_main
 /// --replay.
 [[nodiscard]] ExploreSummary run_explore(const ExploreOptions& o,
-                                         std::uint64_t progress_every = 0,
-                                         sweep::RecordSink* sink = nullptr,
-                                         const obs::Hooks* hooks = nullptr);
+                                         const obs::Hooks* hooks = nullptr,
+                                         sweep::RecordSink* sink = nullptr);
 
 /// Rebuilds an instance + trace from a store record line written by
 /// run_explore (the "--replay" path).  Returns nullopt (with an error in

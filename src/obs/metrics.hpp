@@ -17,7 +17,7 @@
 //  * **Stable vs runtime split.**  Metrics that count deterministic
 //    per-scenario work (solver calls, prune hits, messages, …) are
 //    flagged `stable`; metrics that measure the execution itself (pool
-//    steals, task latency) are not.  Thread-invariance tests and
+//    tasks, task latency) are not.  Thread-invariance tests and
 //    `tools/metrics_report.py` diffs key on the stable section.
 //  * **Observability, not digest material.**  Nothing here ever feeds a
 //    digest or a store record's digested fields (the PR 7 precedent).

@@ -15,7 +15,7 @@
 // Fold's summary carry the wall-clock fields the engine fills in):
 //
 //   Options, Result, Fold               the kind's types
-//   kind, classes, progress_{prefix,unit}  store, trace, progress labels
+//   kind, classes                       store, trace, progress labels
 //   explicit Mode(const Options&)       enumeration (checks the axes)
 //   total(), owned(), gi(i), key(i)     the cross-product, this shard's slice
 //   int run(i, Result&) const           item i on a worker -> class 0..3
@@ -49,14 +49,11 @@ namespace rlt::sweep {
 /// non-null, one canonical record per item is appended in enumeration
 /// order (bracketed by a shard header and trailer when `o.shard` is
 /// active), so the store, like the summary, is byte-identical across
-/// thread counts and batch sizes.  `progress_every` > 0 prints a line to
-/// stderr every that-many completed items.  `hooks` attaches trace
-/// spans, live progress and forensics artifacts; none of it is digest
-/// material.
+/// thread counts and batch sizes.  `hooks` attaches trace spans, live
+/// progress and forensics artifacts; none of it is digest material.
 template <class Mode>
-[[nodiscard]] auto run_engine(
-    const typename Mode::Options& o, std::uint64_t progress_every,
-    RecordSink* sink, const obs::Hooks* hooks) {
+[[nodiscard]] auto run_engine(const typename Mode::Options& o,
+                              const obs::Hooks* hooks, RecordSink* sink) {
   using Result = typename Mode::Result;
   const auto elapsed_ns = [t0 = std::chrono::steady_clock::now()] {
     return static_cast<std::uint64_t>(
@@ -73,10 +70,7 @@ template <class Mode>
                         .batch_size = o.batch_size,
                         .hooks = hooks,
                         .mode = Mode::kind,
-                        .classes = Mode::classes,
-                        .progress_every = progress_every,
-                        .progress_prefix = Mode::progress_prefix,
-                        .progress_unit = Mode::progress_unit};
+                        .classes = Mode::classes};
   typename Mode::Fold fold;
   std::uint64_t wall_ns_total = 0;
   std::uint64_t wall_ns_max = 0;

@@ -47,7 +47,7 @@ void run_ordered(int threads, std::size_t items, std::size_t batch,
   {
     // Declared after the state it references: the destructor joins the
     // workers before that state goes away, on every exit path.
-    WorkStealingPool pool(threads);
+    WorkerPool pool(threads);
     try {
       for (int w = 0; w < pool.thread_count(); ++w) {
         pool.submit([&] {

@@ -13,12 +13,10 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <iostream>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -66,11 +64,6 @@ struct StreamSpec {
   const obs::Hooks* hooks = nullptr;
   std::string_view mode = "safety";
   std::array<std::string_view, 4> classes{"ok", "viol", "blocked", "err"};
-  /// > 0: print "<progress_prefix><done> <progress_unit> done" to stderr
-  /// every that-many completed items.
-  std::uint64_t progress_every = 0;
-  std::string_view progress_prefix = "[sweep] ";
-  std::string_view progress_unit = "scenarios";
 };
 
 /// run_ordered specialized to the engines: `run(i, result)` computes
@@ -101,7 +94,6 @@ void stream_ordered(std::size_t items, const StreamSpec& spec, Run&& run,
     std::vector<obs::CounterDelta> deltas;
   };
   std::vector<Slot> slots(ordered_window(spec.threads));
-  std::atomic<std::uint64_t> completed{0};
   const auto run_batch = [&](const BatchRef& b) {
     const bool timing = obs::enabled();
     const auto t0 = std::chrono::steady_clock::now();
@@ -120,12 +112,6 @@ void stream_ordered(std::size_t items, const StreamSpec& spec, Run&& run,
         slot.deltas[i - b.begin] = after;
       }
       if (meter) meter->tick(cls);
-      const std::uint64_t done =
-          completed.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (spec.progress_every > 0 && done % spec.progress_every == 0) {
-        std::cerr << spec.progress_prefix << done << ' ' << spec.progress_unit
-                  << " done\n";
-      }
     }
     if (timing) {
       obs::count(obs::Counter::kPoolTasks);

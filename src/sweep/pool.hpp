@@ -1,44 +1,37 @@
-// A small work-stealing thread pool for embarrassingly parallel sweeps.
+// A small thread pool: a fixed set of workers taking tasks from one FIFO
+// queue guarded by one mutex.
 //
-// Each worker owns a deque: it pushes and pops at the back (LIFO, cache
-// friendly for tasks submitted by that worker), and steals from the
-// front of a victim's deque when its own is empty (FIFO: the victim's
-// oldest, i.e. smallest-index, queued task — the one the victim would
-// reach last).  External submissions are dealt round-robin across
-// workers so every worker starts with a share.
-//
-// Determinism note: the pool schedules nondeterministically.  The sweep
-// engines run on it through the ordered loop (sweep/ordered.hpp): one
-// long-lived task per worker claims batches from a shared cursor in
-// index order, and the caller folds each finished batch in index order,
-// so sweep digests are independent of the interleaving and of the
-// thread count.
+// The sweep engines need nothing more.  They run on the ordered loop
+// (sweep/ordered.hpp), which submits exactly one long-lived claim-loop
+// task per worker; the tasks claim batches from a shared cursor in index
+// order, and the caller folds each finished batch in index order, so
+// sweep digests are independent of the interleaving and of the thread
+// count.  The pool itself schedules nondeterministically across workers;
+// a one-worker pool runs its tasks in submission order.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <deque>
+#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace rlt::sweep {
 
-class WorkStealingPool {
+class WorkerPool {
  public:
   /// Spawns `threads` workers (at least 1).
-  explicit WorkStealingPool(int threads);
+  explicit WorkerPool(int threads);
 
-  WorkStealingPool(const WorkStealingPool&) = delete;
-  WorkStealingPool& operator=(const WorkStealingPool&) = delete;
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
 
   /// Drains remaining work, then joins the workers.
-  ~WorkStealingPool();
+  ~WorkerPool();
 
   /// Enqueues a task.  Thread-safe; tasks may submit further tasks.
   /// A task that throws does not kill the worker: the first exception is
@@ -51,33 +44,28 @@ class WorkStealingPool {
   void wait_idle();
 
   [[nodiscard]] int thread_count() const noexcept {
-    return static_cast<int>(workers_.size());
+    return static_cast<int>(threads_.size());
   }
 
-  /// Number of times a worker took a task from another worker's deque
-  /// (observability; tests assert the pool actually steals).
-  [[nodiscard]] std::uint64_t steals() const noexcept;
+  /// Always 0: the pool has one queue and never steals.  Kept, with the
+  /// WorkStealingPool alias below, only because perfbench/driver.cpp's
+  /// traced_pool still names both.
+  [[nodiscard]] std::uint64_t steals() const noexcept { return 0; }
 
  private:
-  struct Worker {
-    std::deque<std::function<void()>> queue;
-    std::mutex mutex;
-  };
+  void worker_loop();
 
-  void worker_loop(std::size_t self);
-  bool try_pop(std::size_t self, std::function<void()>& task);
-
-  std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
-
-  std::mutex wake_mutex_;
-  std::condition_variable wake_cv_;   ///< Signals workers: work or stop.
-  std::condition_variable idle_cv_;   ///< Signals waiters: all done.
-  std::size_t unfinished_ = 0;        ///< Queued + executing tasks.
-  std::size_t next_worker_ = 0;       ///< Round-robin submission cursor.
+  std::mutex mutex_;
+  std::condition_variable work_cv_;  ///< Signals workers: work or stop.
+  std::condition_variable idle_cv_;  ///< Signals waiters: all done.
+  std::deque<std::function<void()>> queue_;
+  std::size_t unfinished_ = 0;          ///< Queued + executing tasks.
   std::exception_ptr first_exception_;  ///< First task throw, if any.
-  std::atomic<std::uint64_t> steals_{0};
   bool stop_ = false;
 };
+
+/// The pool's former name; see steals().
+using WorkStealingPool = WorkerPool;
 
 }  // namespace rlt::sweep

@@ -238,9 +238,9 @@ bool SafetyMode::parse(std::string_view line, const std::string&,
   return ok && v.has_value();
 }
 
-SweepSummary run_sweep(const SweepOptions& o, std::uint64_t progress_every,
-                       RecordSink* sink, const obs::Hooks* hooks) {
-  return run_engine<SafetyMode>(o, progress_every, sink, hooks);
+SweepSummary run_sweep(const SweepOptions& o, const obs::Hooks* hooks,
+                       RecordSink* sink) {
+  return run_engine<SafetyMode>(o, hooks, sink);
 }
 
 }  // namespace rlt::sweep

@@ -3,7 +3,7 @@
 //   register semantics × algorithm × adversary × process count ×
 //   crash-fault plan × seed
 //
-// through `run_scenario` on a work-stealing thread pool, validate every
+// through `run_scenario` on the sweep worker pool, validate every
 // recorded history, and fold the results into a *stable digest*: a
 // 64-bit fingerprint that is a pure function of the sweep options —
 // independent of thread count, scheduling, and machine — because every
@@ -200,8 +200,6 @@ class SafetyMode {
   static constexpr std::string_view kind = "safety";
   static constexpr std::array<std::string_view, 4> classes{"ok", "viol",
                                                            "blocked", "err"};
-  static constexpr std::string_view progress_prefix = "[sweep] ";
-  static constexpr std::string_view progress_unit = "scenarios";
   static constexpr std::string_view artifact_prefix = "scenario-";
 
   explicit SafetyMode(const SweepOptions& o);
@@ -242,11 +240,9 @@ class SafetyMode {
 /// order while the workers go on, so memory does not grow with the
 /// sweep, and the digest, the store bytes (`sink`) and the trace spans
 /// (`hooks`) are independent of thread count and batch size.
-/// `progress_every` > 0 prints a line to stderr every that-many
-/// completed scenarios.  Observability hooks are never digest material.
+/// Observability hooks are never digest material.
 [[nodiscard]] SweepSummary run_sweep(const SweepOptions& o,
-                                     std::uint64_t progress_every = 0,
-                                     RecordSink* sink = nullptr,
-                                     const obs::Hooks* hooks = nullptr);
+                                     const obs::Hooks* hooks = nullptr,
+                                     RecordSink* sink = nullptr);
 
 }  // namespace rlt::sweep

@@ -313,10 +313,9 @@ bool TermMode::parse(std::string_view line, const std::string& key,
                                      .ok();
 }
 
-TermSummary run_term_sweep(const TermSweepOptions& o,
-                           std::uint64_t progress_every,
-                           sweep::RecordSink* sink, const obs::Hooks* hooks) {
-  return sweep::run_engine<TermMode>(o, progress_every, sink, hooks);
+TermSummary run_term_sweep(const TermSweepOptions& o, const obs::Hooks* hooks,
+                           sweep::RecordSink* sink) {
+  return sweep::run_engine<TermMode>(o, hooks, sink);
 }
 
 }  // namespace rlt::term

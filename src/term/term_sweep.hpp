@@ -2,7 +2,7 @@
 //
 //   algorithm family × adversary × process count × round budget × seed
 //
-// through `run_term_scenario` on the same work-stealing pool the safety
+// through `run_term_scenario` on the same worker pool the safety
 // sweep uses, and fold the per-scenario TermRecords into a *stable
 // aggregate*: termination rate, round statistics, a survival tail
 // P(round > k), and a 64-bit digest that — like the safety digest — is a
@@ -178,8 +178,6 @@ class TermMode {
   static constexpr std::string_view kind = "term";
   static constexpr std::array<std::string_view, 4> classes{"term", "capped",
                                                            "other", "err"};
-  static constexpr std::string_view progress_prefix = "[term-sweep] ";
-  static constexpr std::string_view progress_unit = "scenarios";
 
   explicit TermMode(const TermSweepOptions& o)
       : en_(enumerate_term_shard(o)) {}
@@ -207,8 +205,7 @@ class TermMode {
 /// workers run, byte-stable store and trace, hooks never digest
 /// material).
 [[nodiscard]] TermSummary run_term_sweep(const TermSweepOptions& o,
-                                         std::uint64_t progress_every = 0,
-                                         sweep::RecordSink* sink = nullptr,
-                                         const obs::Hooks* hooks = nullptr);
+                                         const obs::Hooks* hooks = nullptr,
+                                         sweep::RecordSink* sink = nullptr);
 
 }  // namespace rlt::term

@@ -7,6 +7,7 @@
 #include "checker/lin_checker.hpp"
 #include "checker/strong_checker.hpp"
 #include "checker/wsl_checker.hpp"
+#include "util/assert.hpp"
 
 namespace rlt::checker {
 namespace {
@@ -260,6 +261,23 @@ TEST(StrongChecker, PendingOpsMayBeLinearizedWithInventedResponses) {
   add(h, 0, OpKind::kWrite, 1, 1, 4);
   add(h, 1, OpKind::kRead, 0, 2, kNoTime);  // pending forever
   EXPECT_TRUE(check_strong_linearizable(h).ok);
+}
+
+TEST(StrongChecker, RejectsRunsOverSixtyFourOps) {
+  // 66 pending writes and one completed read: 67 commitment candidates,
+  // past the 64-bit selection mask.  The run is refused up front, as the
+  // WSL checker refuses it, instead of searching 67! orders.
+  History h;
+  Time t = 0;
+  for (int p = 0; p < 66; ++p) {
+    add(h, p, OpKind::kWrite, 100 + p, ++t, kNoTime);
+  }
+  const Time read_invoke = ++t;
+  add(h, 66, OpKind::kRead, 165, read_invoke, ++t);
+  ASSERT_EQ(h.size(), 67u);
+  EXPECT_THROW((void)check_strong_linearizable(h), util::InvariantViolation);
+  EXPECT_THROW((void)check_write_strong_linearizable(h),
+               util::InvariantViolation);
 }
 
 TEST(StrongChecker, StrongImpliesWslOnRandomShapes) {

@@ -268,7 +268,7 @@ TEST(Explore, FaultMenuRecordsRoundTripAndOldLinesDefaultOff) {
   o.search_budget = 8;
   o.shrink_budget = 512;
   sweep::StringSink sink;
-  (void)run_explore(o, 0, &sink);
+  (void)run_explore(o, nullptr, &sink);
   const std::string line = sink.text().substr(0, sink.text().find('\n'));
   EXPECT_NE(line.find("\"fault_menu\":true"), std::string::npos) << line;
   std::string error;
@@ -304,11 +304,11 @@ TEST(Explore, SummaryAndStoreAreByteStableAcrossThreadsAndBatch) {
   o.shrink_budget = 512;
   o.threads = 1;
   sweep::StringSink a;
-  const ExploreSummary seq = run_explore(o, 0, &a);
+  const ExploreSummary seq = run_explore(o, nullptr, &a);
   o.threads = 4;
   o.batch_size = 3;
   sweep::StringSink b;
-  const ExploreSummary par = run_explore(o, 0, &b);
+  const ExploreSummary par = run_explore(o, nullptr, &b);
   EXPECT_EQ(seq.stable_text(), par.stable_text());
   EXPECT_EQ(seq.digest, par.digest);
   EXPECT_EQ(a.text(), b.text());
@@ -326,7 +326,7 @@ TEST(Explore, PersistedRecordsParseAndReplay) {
   o.search_budget = 8;
   o.shrink_budget = 512;
   sweep::StringSink sink;
-  (void)run_explore(o, 0, &sink);
+  (void)run_explore(o, nullptr, &sink);
   const std::string line = sink.text().substr(0, sink.text().find('\n'));
   std::string error;
   const auto persisted = parse_explore_record(line, &error);
@@ -353,7 +353,7 @@ TEST(Explore, PersistedRecordWithSeedAboveUint64MaxIsRejected) {
   o.search_budget = 2;
   o.shrink_budget = 16;
   sweep::StringSink sink;
-  (void)run_explore(o, 0, &sink);
+  (void)run_explore(o, nullptr, &sink);
   std::string line = sink.text().substr(0, sink.text().find('\n'));
   std::string error;
   ASSERT_TRUE(parse_explore_record(line, &error).has_value()) << error;

@@ -163,14 +163,14 @@ TEST_F(ObsTest, TraceSpansAreByteIdenticalAcrossThreadsAndBatch) {
   sweep::StringSink serial_trace;
   Hooks h1;
   h1.trace = &serial_trace;
-  (void)sweep::run_sweep(small_sweep(1, 16), 0, nullptr, &h1);
+  (void)sweep::run_sweep(small_sweep(1, 16), &h1);
   set_enabled(false);
   reset();
 
   sweep::StringSink pooled_trace;
   Hooks h2;
   h2.trace = &pooled_trace;
-  (void)sweep::run_sweep(small_sweep(4, 3), 0, nullptr, &h2);
+  (void)sweep::run_sweep(small_sweep(4, 3), &h2);
 
   EXPECT_FALSE(serial_trace.text().empty());
   EXPECT_EQ(serial_trace.text(), pooled_trace.text());
@@ -182,14 +182,14 @@ TEST_F(ObsTest, TraceSpansAreByteIdenticalAcrossThreadsAndBatch) {
 TEST_F(ObsTest, HooksNeverChangeDigestOrStoreBytes) {
   const sweep::SweepSummary plain = sweep::run_sweep(small_sweep(2, 4));
   sweep::StringSink plain_store;
-  (void)sweep::run_sweep(small_sweep(2, 4), 0, &plain_store);
+  (void)sweep::run_sweep(small_sweep(2, 4), nullptr, &plain_store);
 
   sweep::StringSink trace;
   sweep::StringSink traced_store;
   Hooks h;
   h.trace = &trace;
   const sweep::SweepSummary traced =
-      sweep::run_sweep(small_sweep(2, 4), 0, &traced_store, &h);
+      sweep::run_sweep(small_sweep(2, 4), &h, &traced_store);
 
   EXPECT_EQ(plain.digest, traced.digest);
   EXPECT_EQ(plain.stable_text(), traced.stable_text());
@@ -208,7 +208,7 @@ TEST_F(ObsTest, PinnedBaselineDigestSurvivesInstrumentation) {
   sweep::StringSink trace;
   Hooks h;
   h.trace = &trace;
-  const sweep::SweepSummary sum = sweep::run_sweep(o, 0, nullptr, &h);
+  const sweep::SweepSummary sum = sweep::run_sweep(o, &h);
   EXPECT_EQ(sum.scenarios, 600u);
   EXPECT_EQ(sum.ok, 600u);
   EXPECT_EQ(sum.digest, 0x74043e05615bfe8fULL);
@@ -222,7 +222,7 @@ TEST_F(ObsTest, StoreRecordsCarryAbdMessageAccounting) {
   o.seed_begin = 0;
   o.seed_end = 3;
   sweep::StringSink a;
-  (void)sweep::run_sweep(o, 0, &a);
+  (void)sweep::run_sweep(o, nullptr, &a);
   // Fault-free ABD: every op broadcasts, so counts are positive; a
   // write is 1 round trip, a read 2 (query + write-back).
   EXPECT_NE(a.text().find("\"msgs\":"), std::string::npos);
@@ -232,7 +232,7 @@ TEST_F(ObsTest, StoreRecordsCarryAbdMessageAccounting) {
   EXPECT_EQ(a.text().find("\"rts\":0,"), std::string::npos);
   // And deterministically so.
   sweep::StringSink b;
-  (void)sweep::run_sweep(o, 0, &b);
+  (void)sweep::run_sweep(o, nullptr, &b);
   EXPECT_EQ(a.text(), b.text());
 }
 

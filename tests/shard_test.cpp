@@ -196,8 +196,8 @@ TEST(ShardStoreBytes, IndependentOfThreadsAndBatch) {
   b.batch_size = 2;
 
   StringSink sa, sb;
-  (void)run_sweep(a, 0, &sa);
-  (void)run_sweep(b, 0, &sb);
+  (void)run_sweep(a, nullptr, &sa);
+  (void)run_sweep(b, nullptr, &sb);
   EXPECT_EQ(sa.text(), sb.text());
 }
 
@@ -206,7 +206,7 @@ TEST(ShardStoreBytes, DefaultShardWritesNoBracket) {
   o.seed_begin = 0;
   o.seed_end = 2;
   StringSink s;
-  (void)run_sweep(o, 0, &s);
+  (void)run_sweep(o, nullptr, &s);
   // Unsharded stores keep their historical shape: scenario records only,
   // each leading with its global index.
   EXPECT_EQ(s.text().rfind("{\"gi\":0,", 0), 0u);
@@ -250,7 +250,7 @@ TEST(ShardMerge, ReconstructsUnshardedSafetyStore) {
   o.threads = 2;
   expect_merge_identity(o, 3, "safety",
                         [](const SweepOptions& opts, RecordSink* sink) {
-                          return run_sweep(opts, 0, sink);
+                          return run_sweep(opts, nullptr, sink);
                         });
 }
 
@@ -264,7 +264,7 @@ TEST(ShardMerge, ReconstructsUnshardedTermStore) {
   expect_merge_identity(o, 4, "term",
                         [](const term::TermSweepOptions& opts,
                            RecordSink* sink) {
-                          return run_term_sweep(opts, 0, sink);
+                          return run_term_sweep(opts, nullptr, sink);
                         });
 }
 
@@ -277,11 +277,11 @@ TEST(ShardMerge, ReconstructsFailingTermStore) {
   o.seed_end = 36;
   o.threads = 2;
   StringSink sink;
-  ASSERT_TRUE(run_term_sweep(o, 0, &sink).failed());
+  ASSERT_TRUE(run_term_sweep(o, nullptr, &sink).failed());
   expect_merge_identity(o, 3, "term",
                         [](const term::TermSweepOptions& opts,
                            RecordSink* sink) {
-                          return run_term_sweep(opts, 0, sink);
+                          return run_term_sweep(opts, nullptr, sink);
                         });
 }
 
@@ -296,7 +296,7 @@ TEST(ShardMerge, ReconstructsUnshardedExploreStore) {
   expect_merge_identity(o, 3, "explore",
                         [](const explore::ExploreOptions& opts,
                            RecordSink* sink) {
-                          return run_explore(opts, 0, sink);
+                          return run_explore(opts, nullptr, sink);
                         });
 }
 
@@ -314,13 +314,13 @@ TEST(ShardMerge, ComposesTruncatedFailureMarker) {
   o.threads = 2;
 
   StringSink full_sink;
-  const auto full = run_sweep(o, 0, &full_sink);
+  const auto full = run_sweep(o, nullptr, &full_sink);
   ASSERT_GT(full.failures_truncated, 0u);
   ASSERT_NE(full.stable_text().find("more"), std::string::npos);
 
   expect_merge_identity(o, 3, "safety",
                         [](const SweepOptions& opts, RecordSink* sink) {
-                          return run_sweep(opts, 0, sink);
+                          return run_sweep(opts, nullptr, sink);
                         });
 }
 
@@ -337,7 +337,7 @@ class ShardMergeRejection : public ::testing::Test {
       o.seed_end = 3;
       o.shard = ShardSpec{i, 3};
       StringSink s;
-      (void)run_sweep(o, 0, &s);
+      (void)run_sweep(o, nullptr, &s);
       stores.push_back({"s" + std::to_string(i) + ".jsonl", s.text()});
     }
     return stores;
@@ -375,7 +375,7 @@ TEST_F(ShardMergeRejection, ConfigMismatchIsRejected) {
   other.seed_end = 7;  // Different cross-product: different config key.
   other.shard = ShardSpec{2, 3};
   StringSink s;
-  (void)run_sweep(other, 0, &s);
+  (void)run_sweep(other, nullptr, &s);
   stores[2] = {"s2.jsonl", s.text()};
   const std::string err = merge_error(stores);
   EXPECT_FALSE(err.empty());
@@ -409,7 +409,7 @@ TEST_F(ShardMergeRejection, UnshardedStoreIsNotAShardStore) {
   o.seed_begin = 0;
   o.seed_end = 2;
   StringSink s;
-  (void)run_sweep(o, 0, &s);
+  (void)run_sweep(o, nullptr, &s);
   const std::string err = merge_error({{"plain.jsonl", s.text()}});
   EXPECT_NE(err.find("not a shard store"), std::string::npos) << err;
 }

@@ -1,5 +1,5 @@
 // Tests for the parallel scenario-sweep engine (src/sweep/): the
-// work-stealing pool, the ordered streaming loop, single-scenario
+// worker pool, the ordered streaming loop, single-scenario
 // determinism, the crash and stall fault axes and their verdict
 // taxonomy (blocked vs violation vs error), and the sweep-level digest
 // guarantees (same options => byte-identical summary, regardless of
@@ -30,10 +30,10 @@
 namespace rlt::sweep {
 namespace {
 
-// ---------- work-stealing pool ----------
+// ---------- worker pool ----------
 
 TEST(Pool, RunsEveryTask) {
-  WorkStealingPool pool(4);
+  WorkerPool pool(4);
   std::atomic<int> count{0};
   for (int i = 0; i < 1000; ++i) {
     pool.submit([&count] { count.fetch_add(1); });
@@ -43,7 +43,7 @@ TEST(Pool, RunsEveryTask) {
 }
 
 TEST(Pool, TasksMaySubmitTasks) {
-  WorkStealingPool pool(3);
+  WorkerPool pool(3);
   std::atomic<int> count{0};
   for (int i = 0; i < 8; ++i) {
     pool.submit([&pool, &count] {
@@ -58,7 +58,7 @@ TEST(Pool, TasksMaySubmitTasks) {
 }
 
 TEST(Pool, WaitIdleIsReusable) {
-  WorkStealingPool pool(2);
+  WorkerPool pool(2);
   std::atomic<int> count{0};
   pool.submit([&count] { count.fetch_add(1); });
   pool.wait_idle();
@@ -69,39 +69,34 @@ TEST(Pool, WaitIdleIsReusable) {
 }
 
 TEST(Pool, SingleThreadPoolStillCompletes) {
-  WorkStealingPool pool(1);
+  WorkerPool pool(1);
   std::atomic<int> count{0};
   for (int i = 0; i < 100; ++i) {
     pool.submit([&count] { count.fetch_add(1); });
   }
   pool.wait_idle();
   EXPECT_EQ(count.load(), 100);
-  EXPECT_EQ(pool.steals(), 0u);  // nobody to steal from
 }
 
-TEST(Pool, StealsWhenAWorkerIsBusy) {
-  // Occupy worker 0 with a task that spins until four later tasks have
-  // run, then submit those four: round-robin places T1,T3 on worker 1
-  // and T2,T4 on (busy) worker 0, so worker 1 can only finish the batch
-  // — and release worker 0 — by stealing T2 and T4 from worker 0's queue.
-  WorkStealingPool pool(2);
-  std::atomic<bool> t0_running{false};
-  std::atomic<int> others_done{0};
-  pool.submit([&t0_running, &others_done] {  // T0 -> worker 0
-    t0_running.store(true);
-    while (others_done.load() < 4) std::this_thread::yield();
+TEST(Pool, SingleWorkerRunsTasksInSubmissionOrder) {
+  // One queue, first in first out: a lone worker runs tasks in the order
+  // they were submitted, including tasks submitted while it is busy.
+  WorkerPool pool(1);
+  std::atomic<bool> release{false};
+  std::vector<int> order;  // written only by the one worker
+  pool.submit([&release] {
+    while (!release.load()) std::this_thread::yield();
   });
-  while (!t0_running.load()) std::this_thread::yield();
-  for (int i = 0; i < 4; ++i) {  // T1..T4
-    pool.submit([&others_done] { others_done.fetch_add(1); });
+  for (int i = 0; i < 8; ++i) {
+    pool.submit([&order, i] { order.push_back(i); });
   }
+  release.store(true);
   pool.wait_idle();
-  EXPECT_EQ(others_done.load(), 4);
-  EXPECT_GE(pool.steals(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
 TEST(Pool, TaskExceptionSurfacesInWaitIdle) {
-  WorkStealingPool pool(2);
+  WorkerPool pool(2);
   std::atomic<int> count{0};
   pool.submit([] { throw std::runtime_error("boom"); });
   for (int i = 0; i < 10; ++i) {

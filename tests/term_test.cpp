@@ -268,7 +268,7 @@ TEST(TermSweep, StableTextUsesIntegerRendering) {
 TEST(TermStore, RecordsAreCanonicalJsonInEnumerationOrder) {
   TermSweepOptions o = small_sweep(2);
   sweep::StringSink sink;
-  (void)run_term_sweep(o, 0, &sink);
+  (void)run_term_sweep(o, nullptr, &sink);
   const std::vector<TermScenario> scenarios = enumerate_term_scenarios(o);
   // One line per scenario, each starting with the scenario's key, then
   // one per-family decision-round histogram record per family present.
@@ -298,11 +298,11 @@ TEST(TermStore, RecordsAreCanonicalJsonInEnumerationOrder) {
 
 TEST(TermStore, BytesAreIndependentOfThreadsAndBatch) {
   sweep::StringSink a;
-  (void)run_term_sweep(small_sweep(1), 0, &a);
+  (void)run_term_sweep(small_sweep(1), nullptr, &a);
   TermSweepOptions par = small_sweep(4);
   par.batch_size = 2;
   sweep::StringSink b;
-  (void)run_term_sweep(par, 0, &b);
+  (void)run_term_sweep(par, nullptr, &b);
   EXPECT_EQ(a.text(), b.text());
   EXPECT_FALSE(a.text().empty());
 }
@@ -315,11 +315,11 @@ TEST(TermStore, SafetySweepStoreIsAlsoByteStable) {
               sweep::FaultKind::kStall};
   o.threads = 1;
   sweep::StringSink a;
-  (void)sweep::run_sweep(o, 0, &a);
+  (void)sweep::run_sweep(o, nullptr, &a);
   o.threads = 4;
   o.batch_size = 3;
   sweep::StringSink b;
-  (void)sweep::run_sweep(o, 0, &b);
+  (void)sweep::run_sweep(o, nullptr, &b);
   EXPECT_EQ(a.text(), b.text());
   // Every record carries the safety mode marker and a verdict.
   EXPECT_NE(a.text().find("\"mode\":\"safety\""), std::string::npos);

@@ -35,7 +35,9 @@ OUT="${2:-}"  # empty: derive BENCH_<class>.json from machine metadata
 SCRIPT_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 # perf_wsl includes BM_WslAlg2Tree and BM_WslAlg2Witness: the WSL tree
 # search and the witness-first check on the same Algorithm 2 histories
-# (p3/w2, p4/w4, p5/w8).  perf_sweep includes BM_ModeledScenario/{lin,wsl}/
+# (p3/w2, p4/w4, p5/w8).  BM_WslAlg2TreeNoMemo is the tree search on them
+# with the memo off; the BM_WslAlg2Tree/BM_WslAlg2TreeNoMemo pair is the
+# memo's measured win.  perf_sweep includes BM_ModeledScenario/{lin,wsl}/
 # {3,4}: modeled-register scenarios under the random adversary, whose cost
 # is mostly the register models' solver-window probes.
 BENCHES=(perf_wsl perf_sweep perf_checker perf_term perf_explore perf_stream

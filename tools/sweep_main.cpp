@@ -167,7 +167,6 @@ using rlt::term::TermSweepOptions;
       "                      unsharded store and digest byte-for-byte\n"
       "                      (tools/sweep_shard.py runs the whole fabric as\n"
       "                      one command)\n"
-      "  --progress N        progress line every N scenarios (default: off)\n"
       "observability (valid in every run mode; never digest material —\n"
       "stores, digests, and summaries are byte-identical with or without\n"
       "these flags):\n"
@@ -523,7 +522,6 @@ int main(int argc, char** argv) {
   bool explore_mode = false;
   bool list_only = false;
   bool merge_mode = false;
-  std::uint64_t progress_every = 0;
   std::string out_path;
   std::string replay_path;
   std::string metrics_path;
@@ -673,8 +671,6 @@ int main(int argc, char** argv) {
     } else if (a == "--max-actions") {
       max_actions_set = true;
       opts.max_actions_per_scenario = parse_u64("--max-actions", next());
-    } else if (a == "--progress") {
-      progress_every = parse_u64("--progress", next());
     } else if (a == "--metrics") {
       obs_flags_used.push_back(a);
       metrics_path = next();
@@ -724,7 +720,7 @@ int main(int argc, char** argv) {
         !term_flags_used.empty() || !family_flags_used.empty() ||
         !explore_flags_used.empty() || !obs_flags_used.empty() ||
         processes_set || max_actions_set ||
-        batch_set || threads_set || seeds_set || progress_every > 0) {
+        batch_set || threads_set || seeds_set) {
       std::cerr << "sweep_main: --merge is standalone (only --out may "
                    "accompany it; every config comes from the shard "
                    "headers)\n";
@@ -942,10 +938,11 @@ int main(int argc, char** argv) {
         hooks.forensics_dir = forensics_dir;
       }
       const auto sum = rlt::sweep::run_engine<Mode>(
-          o, progress_every, sink.get(),
+          o,
           (hooks.trace || hooks.progress_on() || hooks.forensics_on())
               ? &hooks
-              : nullptr);
+              : nullptr,
+          sink.get());
       if (sink) sink->close();
       if (trace_sink) trace_sink->close();
       if (!metrics_path.empty()) {
