@@ -11,7 +11,15 @@
 //
 // The consensus registers themselves stay atomic throughout — Corollary 9
 // only swaps the semantics of the game's register set R.
+//
+// Every A' run goes through run_composed_adversary: the scripted and
+// random helpers pick an adversary and one of the two named action
+// budgets below and summarize its ComposedStats; the termination lab's
+// composed driver (src/term/) calls it directly with the same budgets.
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "consensus/rand_consensus.hpp"
 #include "game/game_runner.hpp"
@@ -29,10 +37,20 @@ struct ComposedResult {
   sim::RunOutcome outcome = sim::RunOutcome::kStopped;
 };
 
+/// Action budget for A' under the scripted adversary: the scripted game's
+/// budget plus room for the consensus phase.
+[[nodiscard]] std::uint64_t scripted_composed_budget(
+    const game::GameConfig& game_cfg, const ConsensusConfig& consensus_cfg);
+
+/// Action budget for A' under random schedules: the random game's budget
+/// plus room for the consensus phase.
+[[nodiscard]] std::uint64_t random_composed_budget(
+    const game::GameConfig& game_cfg, const ConsensusConfig& consensus_cfg);
+
 /// Runs A' with the game registers under `game_semantics`, driven by the
 /// scripted strong adversary (kLinearizable or kWriteStrong), with the
 /// consensus phase (atomic registers) scheduled deterministically after
-/// the game dies.  Consensus inputs are derived from `seed`.
+/// the game dies.  Consensus inputs are seeded_inputs(n, seed).
 [[nodiscard]] ComposedResult run_composed_scripted(
     const game::GameConfig& game_cfg, const ConsensusConfig& consensus_cfg,
     sim::Semantics game_semantics, game::CommitStrategy strategy,
@@ -65,8 +83,7 @@ struct ComposedStats {
 };
 
 /// Runs A' under a caller-supplied adversary with an explicit action
-/// budget.  Consensus inputs are derived from `seed` exactly as in the
-/// helpers above (identical seeds give identical inputs).
+/// budget.  Consensus inputs are seeded_inputs(n, seed).
 [[nodiscard]] ComposedStats run_composed_adversary(
     const game::GameConfig& game_cfg, const ConsensusConfig& consensus_cfg,
     sim::Semantics game_semantics, sim::Adversary& adversary,

@@ -3,8 +3,16 @@
 #include <algorithm>
 
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace rlt::consensus {
+
+std::vector<int> seeded_inputs(int n, std::uint64_t seed) {
+  util::Rng rng(seed ^ 0xC0FFEEULL);
+  std::vector<int> in(static_cast<std::size_t>(n));
+  for (int& b : in) b = rng.flip();
+  return in;
+}
 
 bool ConsensusState::all_decided() const {
   return std::all_of(decisions.begin(), decisions.end(),

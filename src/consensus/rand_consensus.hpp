@@ -27,6 +27,7 @@
 // a constant for the shared coin) after which the race closes.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "consensus/shared_coin.hpp"
@@ -83,6 +84,11 @@ struct ConsensusState {
   /// Every decision equals some process's input.
   [[nodiscard]] bool validity() const;
 };
+
+/// The n input bits of a seeded run (flips of `seed ^ 0xC0FFEE`).  The
+/// composed runner and the termination lab share it, so identical seeds
+/// give identical inputs.
+[[nodiscard]] std::vector<int> seeded_inputs(int n, std::uint64_t seed);
 
 /// Adds the consensus registers (markers + coin counters) to `sched`
 /// with the given semantics (the paper's A assumes atomic base objects).

@@ -4,6 +4,11 @@
 
 namespace rlt::consensus {
 
+std::uint64_t coin_walk_budget(int n, int max_rounds) {
+  return static_cast<std::uint64_t>(max_rounds + 2) *
+         static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n + 6);
+}
+
 void setup_shared_coin(sim::Scheduler& sched, const SharedCoinConfig& cfg,
                        sim::Semantics semantics) {
   for (int i = 0; i < cfg.n; ++i) {

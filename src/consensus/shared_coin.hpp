@@ -16,6 +16,8 @@
 // merely-linearizable registers can destroy [Golab, Higham, Woelfel].
 #pragma once
 
+#include <cstdint>
+
 #include "sim/scheduler.hpp"
 
 namespace rlt::consensus {
@@ -26,6 +28,12 @@ struct SharedCoinConfig {
   sim::RegId first_reg = 0;     ///< n counter registers from this id.
   int threshold_per_proc = 4;   ///< Drift threshold = this * n.
 };
+
+/// Action budget for `n` processes flipping one coin.  The coin has no
+/// rounds, so `max_rounds` caps the random walk through this budget:
+/// about `max_rounds` iterations (a flip, a counter write and n counter
+/// reads) per process.
+[[nodiscard]] std::uint64_t coin_walk_budget(int n, int max_rounds);
 
 /// Adds the coin's n counter registers to `sched`.
 void setup_shared_coin(sim::Scheduler& sched, const SharedCoinConfig& cfg,

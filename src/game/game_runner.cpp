@@ -7,12 +7,23 @@
 
 namespace rlt::game {
 
-namespace {
+std::uint64_t scripted_game_budget(const GameConfig& cfg) {
+  return static_cast<std::uint64_t>(cfg.max_rounds + 2) *
+         (static_cast<std::uint64_t>(cfg.n) * 24 + 64);
+}
 
-GameRunResult collect(const GameState& state, const sim::Scheduler& sched,
-                      sim::RunOutcome outcome) {
+std::uint64_t random_game_budget(const GameConfig& cfg) {
+  return static_cast<std::uint64_t>(cfg.max_rounds + 2) *
+         (static_cast<std::uint64_t>(cfg.n) * 400 + 4000);
+}
+
+GameRunResult run_game_adversary(GameState& state, sim::Semantics semantics,
+                                 sim::Adversary& adversary,
+                                 std::uint64_t budget, std::uint64_t seed) {
+  sim::Scheduler sched(seed);
+  setup_game(sched, semantics, state);
   GameRunResult r;
-  r.outcome = outcome;
+  r.outcome = sched.run(adversary, budget);
   r.terminated = state.all_returned();
   r.capped = state.any_capped();
   r.rounds_reached = state.rounds_reached();
@@ -20,24 +31,11 @@ GameRunResult collect(const GameState& state, const sim::Scheduler& sched,
   r.coin_flips = sched.coin_log().size();
   r.coins = state.coin_by_round;
   if (r.terminated) {
-    int died = 0;
     for (const ProcStatus& p : state.procs) {
-      died = std::max(died, p.exit_round);
+      r.termination_round = std::max(r.termination_round, p.exit_round);
     }
-    r.termination_round = died;
   }
   return r;
-}
-
-}  // namespace
-
-GameRunResult run_game_adversary(GameState& state, sim::Semantics semantics,
-                                 sim::Adversary& adversary,
-                                 std::uint64_t budget, std::uint64_t seed) {
-  sim::Scheduler sched(seed);
-  setup_game(sched, semantics, state);
-  const sim::RunOutcome outcome = sched.run(adversary, budget);
-  return collect(state, sched, outcome);
 }
 
 GameRunResult run_scripted_game(const GameConfig& cfg,
@@ -48,13 +46,8 @@ GameRunResult run_scripted_game(const GameConfig& cfg,
                 "run_random_game for atomic registers");
   GameState state(cfg);
   GameScriptAdversary adversary(cfg, strategy, seed ^ 0x5DEECE66DULL);
-  // Generous action budget: the script uses a bounded number of actions
-  // per round.
-  const std::uint64_t budget =
-      static_cast<std::uint64_t>(cfg.max_rounds + 2) *
-      (static_cast<std::uint64_t>(cfg.n) * 24 + 64);
-  GameRunResult r = run_game_adversary(state, semantics, adversary, budget,
-                                       seed);
+  GameRunResult r = run_game_adversary(state, semantics, adversary,
+                                       scripted_game_budget(cfg), seed);
   if (adversary.stats().doomed_round != 0) {
     RLT_CHECK_MSG(r.terminated,
                   "script doomed the game but processes did not return");
@@ -67,12 +60,8 @@ GameRunResult run_random_game(const GameConfig& cfg, sim::Semantics semantics,
                               std::uint64_t seed) {
   GameState state(cfg);
   sim::RandomAdversary adversary(seed ^ 0x9E3779B97F4A7C15ULL);
-  // Random schedules are far less action-efficient than the script; the
-  // cap guards against pathological schedules only.
-  const std::uint64_t budget =
-      static_cast<std::uint64_t>(cfg.max_rounds + 2) *
-      (static_cast<std::uint64_t>(cfg.n) * 400 + 4000);
-  return run_game_adversary(state, semantics, adversary, budget, seed);
+  return run_game_adversary(state, semantics, adversary,
+                            random_game_budget(cfg), seed);
 }
 
 TerminationDistribution measure_termination_rounds(const GameConfig& cfg,

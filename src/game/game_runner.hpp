@@ -1,5 +1,8 @@
 // Harness for running Algorithm 1 under the three register semantics and
-// collecting the statistics the paper's claims are about.
+// collecting the statistics the paper's claims are about.  Every game run
+// goes through run_game_adversary, with an action budget from one of the
+// two named formulas below; the termination lab (src/term/) uses the
+// same entry point and budgets.
 #pragma once
 
 #include <cstdint>
@@ -22,10 +25,19 @@ struct GameRunResult {
   std::vector<int> coins;    ///< p0's coin per round (1-based, -1 unset).
 };
 
+/// Action budget for a run under the scripted adversary: generous, since
+/// the script uses a bounded number of actions per round.
+[[nodiscard]] std::uint64_t scripted_game_budget(const GameConfig& cfg);
+
+/// Action budget for a run under random schedules, which are far less
+/// action-efficient than the script; it guards against pathological
+/// schedules only.
+[[nodiscard]] std::uint64_t random_game_budget(const GameConfig& cfg);
+
 /// Runs the game in a caller-built `state` under a caller-supplied
 /// adversary (`seed` seeds the scheduler's coin RNG).  The scripted /
-/// random helpers below are wrappers; the termination lab drives this
-/// directly and reads per-process status out of `state` afterwards.
+/// random helpers below are wrappers; the termination lab's game driver
+/// calls this directly and reads per-process status out of `state`.
 [[nodiscard]] GameRunResult run_game_adversary(GameState& state,
                                                sim::Semantics semantics,
                                                sim::Adversary& adversary,

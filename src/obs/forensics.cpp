@@ -6,6 +6,7 @@
 #include "checker/lin_checker.hpp"
 #include "checker/wsl_checker.hpp"
 #include "sweep/store.hpp"
+#include "util/append.hpp"
 #include "util/assert.hpp"
 
 namespace rlt::obs {
@@ -155,7 +156,7 @@ std::string build_artifact(const std::string& key, const std::string& verdict,
   // replay needs them to mean the same thing).
   j.key("initial").begin_obj();
   for (const auto reg : h.registers()) {
-    j.key(("R" + std::to_string(reg)).c_str()).i64(h.initial(reg));
+    j.key(util::numbered("R", reg).c_str()).i64(h.initial(reg));
   }
   j.end_obj();
 

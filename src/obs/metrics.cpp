@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "sweep/store.hpp"
+#include "util/append.hpp"
 #include "util/assert.hpp"
 
 namespace rlt::obs {
@@ -185,7 +186,7 @@ void dump(const Snapshot& snap, sweep::RecordSink& sink,
       const std::uint64_t n =
           snap.data.hists[static_cast<std::size_t>(i)][static_cast<std::size_t>(
               b)];
-      if (n != 0) r.u64("b" + std::to_string(b), n);
+      if (n != 0) r.u64(util::numbered("b", b), n);
     }
     sink.append(r);
   }

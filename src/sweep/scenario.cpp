@@ -7,6 +7,7 @@
 #include <optional>
 #include <sstream>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "checker/lin_checker.hpp"
@@ -281,7 +282,7 @@ void run_modeled(const Scenario& s, sim::SchedulePolicy* policy,
   sched.add_register(0, s.semantics, 0);
   for (int p = 0; p < s.processes; ++p) {
     const int writes = s.writes_per_process;
-    sched.add_process("p" + std::to_string(p), [p, writes](sim::Proc& pr) {
+    sched.add_process(util::numbered("p", p), [p, writes](sim::Proc& pr) {
       return modeled_proc(pr, p, writes);
     });
   }
@@ -301,7 +302,7 @@ void run_implemented(const Scenario& s, sim::SchedulePolicy* policy,
   Reg reg(sched, s.processes, /*first_base=*/100, /*initial=*/0);
   for (int p = 0; p < s.processes; ++p) {
     const int writes = s.writes_per_process;
-    sched.add_process("p" + std::to_string(p),
+    sched.add_process(util::numbered("p", p),
                       [&reg, p, writes](sim::Proc& pr) {
                         return implemented_proc(pr, reg, p, writes);
                       });
@@ -320,6 +321,11 @@ void run_implemented(const Scenario& s, sim::SchedulePolicy* policy,
 struct PlannedCrash {
   std::uint64_t at = 0;   ///< Driver iteration at which the node dies.
   mp::NodeId victim = -1;
+
+  /// Deterministic application order: by time, then victim.
+  friend bool operator<(const PlannedCrash& a, const PlannedCrash& b) {
+    return a.at != b.at ? a.at < b.at : a.victim < b.victim;
+  }
 };
 
 /// The fault axis's seed derivation.  kMinorityCrash keeps its
@@ -393,11 +399,7 @@ std::vector<PlannedCrash> plan_crashes(const Scenario& s) {
     c.victim = ids[static_cast<std::size_t>(i)];
     out.push_back(c);
   }
-  // Apply in deterministic (time, victim) order.
-  std::sort(out.begin(), out.end(),
-            [](const PlannedCrash& a, const PlannedCrash& b) {
-              return a.at != b.at ? a.at < b.at : a.victim < b.victim;
-            });
+  std::sort(out.begin(), out.end());  // apply in (time, victim) order
   return out;
 }
 
@@ -422,6 +424,16 @@ struct AbdFaultFabric {
   // the crash (send-attempt thresholds fire between loop tops).
   std::vector<std::uint64_t> recover_delay;
 };
+
+/// Arms send-attempt crash thresholds on `net` in (threshold, victim)
+/// order.
+void schedule_crashes_at_send(mp::Network& net,
+                              std::vector<PlannedCrash> at_send) {
+  std::sort(at_send.begin(), at_send.end());
+  for (const PlannedCrash& c : at_send) {
+    net.schedule_crash_at_send(c.victim, c.at);
+  }
+}
 
 /// Plans the unreliable-network fault kinds: arms the Network fabric
 /// (loss/duplication coins, send-attempt crash thresholds) and returns
@@ -478,13 +490,7 @@ AbdFaultFabric plan_fabric(const Scenario& s, mp::Network& net) {
         c.victim = v;
         at_send.push_back(c);
       }
-      std::sort(at_send.begin(), at_send.end(),
-                [](const PlannedCrash& a, const PlannedCrash& b) {
-                  return a.at != b.at ? a.at < b.at : a.victim < b.victim;
-                });
-      for (const PlannedCrash& c : at_send) {
-        net.schedule_crash_at_send(c.victim, c.at);
-      }
+      schedule_crashes_at_send(net, std::move(at_send));
       break;
     }
     case FaultKind::kCrashRecovery: {
@@ -505,13 +511,7 @@ AbdFaultFabric plan_fabric(const Scenario& s, mp::Network& net) {
         f.recover_delay[static_cast<std::size_t>(v)] =
             1 + rng.uniform(horizon / 2 + 1);
       }
-      std::sort(at_send.begin(), at_send.end(),
-                [](const PlannedCrash& a, const PlannedCrash& b) {
-                  return a.at != b.at ? a.at < b.at : a.victim < b.victim;
-                });
-      for (const PlannedCrash& c : at_send) {
-        net.schedule_crash_at_send(c.victim, c.at);
-      }
+      schedule_crashes_at_send(net, std::move(at_send));
       f.fault_tolerant = true;
       break;
     }

@@ -42,7 +42,9 @@ void append_escaped(std::string& out, std::string_view s) {
 
 /// Offset of `name`'s value in `line`, or npos when the field is absent.
 std::size_t value_at(std::string_view line, std::string_view name) {
-  const std::string needle = "\"" + std::string(name) + "\":";
+  std::string needle = "\"";
+  needle += name;
+  needle += "\":";
   const std::size_t at = line.find(needle);
   return at == std::string_view::npos ? at : at + needle.size();
 }

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "consensus/composed.hpp"
@@ -14,14 +15,12 @@
 #include "sweep/fnv.hpp"
 #include "util/append.hpp"
 #include "util/assert.hpp"
-#include "util/rng.hpp"
 
 namespace rlt::term {
 namespace {
 
 using sweep::fnv_mix_u64;
 using sweep::kFnvOffset;
-using sweep::kFnvPrime;
 
 /// Derives the adversary's seed stream from the scenario, decorrelated
 /// from the scheduler's coin stream (which uses the raw scenario seed).
@@ -44,10 +43,6 @@ std::vector<sim::ProcessId> stall_victims(const TermScenario& s) {
   return sim::pick_strict_minority(s.processes, mix);
 }
 
-bool is_stalled(const std::vector<sim::ProcessId>& victims, int p) {
-  return std::find(victims.begin(), victims.end(), p) != victims.end();
-}
-
 /// Accumulates the outcome fingerprint.
 struct Hash {
   std::uint64_t h = kFnvOffset;
@@ -56,7 +51,7 @@ struct Hash {
 };
 
 /// Folds the record's own digest-relevant fields into its fingerprint
-/// (per-family extras were mixed by the drivers before this).
+/// (the process rows were mixed by mix_rows before this).
 void seal_record(TermRecord& r, Hash& hash) {
   hash.mix(r.terminated ? 1 : 0);
   hash.mix(r.capped ? 1 : 0);
@@ -81,232 +76,212 @@ sim::Task coin_proc(sim::Proc& p, consensus::SharedCoinConfig cfg, int i,
       co_await consensus::shared_coin_flip(p, cfg, i);
 }
 
-// ---- family drivers -----------------------------------------------------
+// ---- family drivers (see the header) --------------------------------------
 
-/// Consensus inputs derived deterministically from the scenario seed
-/// (mirrors the composed runner's derivation, different stream).
-std::vector<int> derive_inputs(const TermScenario& s) {
-  util::Rng rng(s.seed ^ 0xC0FFEEULL);
-  std::vector<int> in(static_cast<std::size_t>(s.processes));
-  for (int& b : in) b = rng.flip();
-  return in;
+/// One process's end state, in its family's terms.
+struct ProcRow {
+  int input = -1;         ///< Consensus input (kConsensus).
+  bool returned = false;  ///< Returned from the game (kGame, kComposed).
+  int value = -1;         ///< Decision or coin output (not kGame); -1 = none.
+  /// Decision round, own coin flips (kSharedCoin) or game exit round.
+  int round = 0;
+  int exit_line = 0;      ///< Game exit line (kGame).
+};
+
+/// What one family driver run produced.
+struct FamilyRun {
+  std::vector<ProcRow> rows{};
+  sim::RunOutcome outcome = sim::RunOutcome::kStopped;
+  bool round_capped = false;  ///< Some process hit a structural round cap.
+  /// Highest round entered (game round for kComposed, longest personal
+  /// walk for kSharedCoin).
+  int rounds_reached = 0;
+  bool safety_ok = true;  ///< Agreement + validity (consensus families).
+  std::uint64_t steps = 0;
+  std::uint64_t coin_flips = 0;
+};
+
+bool plays_game(Family f) {
+  return f == Family::kGame || f == Family::kComposed;
 }
 
-void run_consensus_family(const TermScenario& s,
-                          const std::vector<sim::ProcessId>& victims,
-                          TermRecord& out, Hash& hash) {
-  consensus::ConsensusConfig cfg;
-  cfg.n = s.processes;
-  cfg.max_rounds = s.max_rounds;
-  sim::Scheduler sched(s.seed);
-  consensus::ConsensusState st(cfg, derive_inputs(s));
+/// The run shapes both entry points accept.
+void check_shape(Family f, int processes, int max_rounds) {
+  RLT_CHECK_MSG(processes >= 1 && processes <= 64, "processes out of range");
+  RLT_CHECK_MSG(processes >= 3 || !plays_game(f),
+                "the game families need >= 3 processes");
+  RLT_CHECK_MSG(max_rounds >= 1, "round budget must be positive");
+}
+
+/// `spec.max_actions` tightened by the family's own budget formula
+/// (consensus has none).
+std::uint64_t family_budget(const TermProbeSpec& spec, bool scripted) {
+  const game::GameConfig gc{.n = spec.processes,
+                            .max_rounds = spec.max_rounds};
+  const consensus::ConsensusConfig cc{.n = spec.processes,
+                                      .max_rounds = spec.max_rounds};
+  std::uint64_t budget = spec.max_actions;
+  switch (spec.family) {
+    case Family::kConsensus:
+      break;
+    case Family::kSharedCoin:
+      budget = consensus::coin_walk_budget(spec.processes, spec.max_rounds);
+      break;
+    case Family::kGame:
+      budget = scripted ? game::scripted_game_budget(gc)
+                        : game::random_game_budget(gc);
+      break;
+    case Family::kComposed:
+      budget = scripted ? consensus::scripted_composed_budget(gc, cc)
+                        : consensus::random_composed_budget(gc, cc);
+      break;
+  }
+  return std::min(spec.max_actions, budget);
+}
+
+FamilyRun run_consensus(const TermProbeSpec& spec, sim::Adversary& adv) {
+  const consensus::ConsensusConfig cfg{.n = spec.processes,
+                                       .max_rounds = spec.max_rounds};
+  consensus::ConsensusState st(cfg, consensus::seeded_inputs(cfg.n, spec.seed));
+  sim::Scheduler sched(spec.seed);
   setup_consensus(sched, cfg, sim::Semantics::kAtomic);
   for (int i = 0; i < cfg.n; ++i) {
-    sched.add_process("c" + std::to_string(i), [&st, i](sim::Proc& p) {
+    sched.add_process(util::numbered("c", i), [&st, i](sim::Proc& p) {
       return consensus_proc(p, st, i);
     });
   }
-  sim::RunOutcome outcome;
-  if (victims.empty()) {
-    sim::RandomAdversary adv(adversary_seed(s));
-    outcome = sched.run(adv, s.max_actions);
-  } else {
-    sim::StallingAdversary adv(victims, adversary_seed(s));
-    outcome = sched.run(adv, s.max_actions);
+  FamilyRun run{.outcome = sched.run(adv, spec.max_actions),
+                .round_capped = st.hit_round_cap,
+                .rounds_reached = st.max_round_entered,
+                .safety_ok = st.agreement() && st.validity(),
+                .steps = sched.actions_applied(),
+                .coin_flips = sched.coin_log().size()};
+  for (std::size_t i = 0; i < st.inputs.size(); ++i) {
+    run.rows.push_back({.input = st.inputs[i],
+                        .value = st.decisions[i],
+                        .round = st.decided_round[i]});
   }
-  out.terminated = true;
-  for (int i = 0; i < cfg.n; ++i) {
-    const std::size_t ui = static_cast<std::size_t>(i);
-    hash.mix_i(st.inputs[ui]);
-    hash.mix_i(st.decisions[ui]);
-    hash.mix_i(st.decided_round[ui]);
-    if (is_stalled(victims, i)) continue;
-    if (st.decisions[ui] < 0) out.terminated = false;
-    out.rounds = std::max(out.rounds, st.decided_round[ui]);
-  }
-  if (!out.terminated) out.rounds = 0;
-  out.capped = st.hit_round_cap || outcome == sim::RunOutcome::kActionCap;
-  out.safety_ok = st.agreement() && st.validity();
-  if (!out.safety_ok) out.detail = "consensus agreement/validity violated";
-  out.coin_flips = sched.coin_log().size();
-  out.steps = sched.actions_applied();
+  return run;
 }
 
-void run_coin_family(const TermScenario& s,
-                     const std::vector<sim::ProcessId>& victims,
-                     TermRecord& out, Hash& hash) {
-  consensus::SharedCoinConfig cfg;
-  cfg.n = s.processes;
-  cfg.first_reg = 0;
-  cfg.threshold_per_proc = 2;
-  sim::Scheduler sched(s.seed);
-  setup_shared_coin(sched, cfg, sim::Semantics::kAtomic);
+FamilyRun run_coin(const TermProbeSpec& spec, sim::Adversary& adv) {
+  const consensus::SharedCoinConfig cfg{
+      .n = spec.processes, .first_reg = 0, .threshold_per_proc = 2};
   std::vector<int> outs(static_cast<std::size_t>(cfg.n), -1);
+  sim::Scheduler sched(spec.seed);
+  setup_shared_coin(sched, cfg, sim::Semantics::kAtomic);
   for (int i = 0; i < cfg.n; ++i) {
-    sched.add_process("coin" + std::to_string(i),
+    sched.add_process(util::numbered("coin", i),
                       [cfg, i, &outs](sim::Proc& p) {
                         return coin_proc(p, cfg, i, &outs);
                       });
   }
-  // The coin has no round structure of its own, so the round budget caps
-  // the random walk through the action budget: roughly max_rounds flip
-  // iterations per process (each iteration is a flip, a counter write,
-  // and n counter reads).  Tight budgets genuinely cap long walks —
-  // the axis is live for this family too, not just a key suffix.
-  const std::uint64_t budget =
-      std::min(s.max_actions,
-               static_cast<std::uint64_t>(s.max_rounds + 2) *
-                   static_cast<std::uint64_t>(s.processes) *
-                   static_cast<std::uint64_t>(s.processes + 6));
-  sim::RunOutcome outcome;
-  if (victims.empty()) {
-    sim::RandomAdversary adv(adversary_seed(s));
-    outcome = sched.run(adv, budget);
-  } else {
-    sim::StallingAdversary adv(victims, adversary_seed(s));
-    outcome = sched.run(adv, budget);
-  }
+  FamilyRun run{.outcome = sched.run(adv, spec.max_actions),
+                .steps = sched.actions_applied(),
+                .coin_flips = sched.coin_log().size()};
+  for (const int out : outs) run.rows.push_back({.value = out});
   // Personal walk length per process: its own coin flips.
-  std::vector<int> flips(static_cast<std::size_t>(cfg.n), 0);
   for (const sim::CoinRecord& c : sched.coin_log()) {
-    ++flips[static_cast<std::size_t>(c.process)];
+    ProcRow& row = run.rows[static_cast<std::size_t>(c.process)];
+    run.rounds_reached = std::max(run.rounds_reached, ++row.round);
   }
-  out.terminated = true;
-  for (int i = 0; i < cfg.n; ++i) {
-    const std::size_t ui = static_cast<std::size_t>(i);
-    hash.mix_i(outs[ui]);
-    hash.mix_i(flips[ui]);
-    if (is_stalled(victims, i)) continue;
-    if (outs[ui] < 0) out.terminated = false;
-    out.rounds = std::max(out.rounds, flips[ui]);
-  }
-  if (!out.terminated) out.rounds = 0;
-  out.capped = outcome == sim::RunOutcome::kActionCap;
-  out.coin_flips = sched.coin_log().size();
-  out.steps = sched.actions_applied();
+  return run;
 }
 
-void run_game_family(const TermScenario& s,
-                     const std::vector<sim::ProcessId>& victims,
-                     TermRecord& out, Hash& hash) {
-  game::GameConfig cfg;
-  cfg.n = s.processes;
-  cfg.max_rounds = s.max_rounds;
-  game::GameState state(cfg);
-  game::GameRunResult gr;
-  int doomed_round = 0;
-  if (s.adversary == TermAdversary::kScripted) {
-    // Theorem 6's regime: merely linearizable registers, the scripted
-    // strong adversary.  The script survives every round — the game only
-    // stops at the structural round cap.
-    game::GameScriptAdversary adv(cfg, game::CommitStrategy::kRandomOrder,
-                                  adversary_seed(s));
-    const std::uint64_t budget =
-        std::min(s.max_actions,
-                 static_cast<std::uint64_t>(cfg.max_rounds + 2) *
-                     (static_cast<std::uint64_t>(cfg.n) * 24 + 64));
-    gr = game::run_game_adversary(state, sim::Semantics::kLinearizable, adv,
-                                  budget, s.seed);
-    doomed_round = adv.stats().doomed_round;
-  } else {
-    const std::uint64_t budget =
-        std::min(s.max_actions,
-                 static_cast<std::uint64_t>(cfg.max_rounds + 2) *
-                     (static_cast<std::uint64_t>(cfg.n) * 400 + 4000));
-    if (victims.empty()) {
-      sim::RandomAdversary adv(adversary_seed(s));
-      gr = game::run_game_adversary(state, sim::Semantics::kAtomic, adv,
-                                    budget, s.seed);
-    } else {
-      sim::StallingAdversary adv(victims, adversary_seed(s));
-      gr = game::run_game_adversary(state, sim::Semantics::kAtomic, adv,
-                                    budget, s.seed);
-    }
+FamilyRun run_game(const TermProbeSpec& spec, sim::Adversary& adv) {
+  game::GameState state(
+      game::GameConfig{.n = spec.processes, .max_rounds = spec.max_rounds});
+  const game::GameRunResult gr = game::run_game_adversary(
+      state, spec.game_semantics, adv, spec.max_actions, spec.seed);
+  FamilyRun run{.outcome = gr.outcome,
+                .round_capped = gr.capped,
+                .rounds_reached = gr.rounds_reached,
+                .steps = gr.actions,
+                .coin_flips = gr.coin_flips};
+  for (const game::ProcStatus& p : state.procs) {
+    run.rows.push_back({.returned = p.returned,
+                        .round = p.exit_round,
+                        .exit_line = static_cast<int>(p.exit_line)});
   }
-  out.terminated = true;
-  int live_exit = 0;
-  for (int i = 0; i < cfg.n; ++i) {
-    const game::ProcStatus& p = state.procs[static_cast<std::size_t>(i)];
-    hash.mix_i(p.returned ? 1 : 0);
-    hash.mix_i(p.exit_round);
-    hash.mix_i(static_cast<int>(p.exit_line));
-    if (is_stalled(victims, i)) continue;
-    if (!p.returned) out.terminated = false;
-    live_exit = std::max(live_exit, p.exit_round);
-  }
-  if (out.terminated) {
-    out.rounds = doomed_round != 0 ? doomed_round : live_exit;
-  }
-  // A non-terminated game is always budget-bound: either a process saw
-  // the structural round cap itself, the action budget ran out, or the
-  // script stopped scheduling after driving its last budgeted round
-  // (kStopped before any process re-entered the loop to notice the cap —
-  // the Theorem 6 steady state).
-  out.capped = gr.capped || gr.outcome == sim::RunOutcome::kActionCap ||
-               (!out.terminated && gr.outcome == sim::RunOutcome::kStopped);
-  out.coin_flips = gr.coin_flips;
-  out.steps = gr.actions;
+  return run;
 }
 
-void run_composed_family(const TermScenario& s,
-                         const std::vector<sim::ProcessId>& victims,
-                         TermRecord& out, Hash& hash) {
-  game::GameConfig gc;
-  gc.n = s.processes;
-  gc.max_rounds = s.max_rounds;
-  consensus::ConsensusConfig cc;
-  cc.n = s.processes;
-  cc.max_rounds = s.max_rounds;
-  consensus::ComposedStats st;
-  if (s.adversary == TermAdversary::kScripted) {
-    // The positive side of Corollary 9: write strongly-linearizable game
-    // registers force the script to commit before the coin; the game
-    // dies geometrically fast and consensus then runs on atomic regs.
-    game::GameScriptAdversary adv(gc, game::CommitStrategy::kRandomOrder,
-                                  adversary_seed(s));
-    const std::uint64_t budget = std::min(
-        s.max_actions,
-        static_cast<std::uint64_t>(gc.max_rounds + 2) *
-                (static_cast<std::uint64_t>(gc.n) * 24 + 64) +
-            static_cast<std::uint64_t>(cc.max_rounds + 2) *
-                (static_cast<std::uint64_t>(gc.n) * 600 + 2000));
-    st = consensus::run_composed_adversary(gc, cc, sim::Semantics::kWriteStrong,
-                                           adv, budget, s.seed);
-  } else {
-    const std::uint64_t budget = std::min(
-        s.max_actions,
-        static_cast<std::uint64_t>(gc.max_rounds + 2) *
-                (static_cast<std::uint64_t>(gc.n) * 400 + 4000) +
-            static_cast<std::uint64_t>(cc.max_rounds + 2) *
-                (static_cast<std::uint64_t>(gc.n) * 2000 + 8000));
-    if (victims.empty()) {
-      sim::RandomAdversary adv(adversary_seed(s));
-      st = consensus::run_composed_adversary(gc, cc, sim::Semantics::kAtomic,
-                                             adv, budget, s.seed);
-    } else {
-      sim::StallingAdversary adv(victims, adversary_seed(s));
-      st = consensus::run_composed_adversary(gc, cc, sim::Semantics::kAtomic,
-                                             adv, budget, s.seed);
+FamilyRun run_composed(const TermProbeSpec& spec, sim::Adversary& adv) {
+  const consensus::ComposedStats st = consensus::run_composed_adversary(
+      game::GameConfig{.n = spec.processes, .max_rounds = spec.max_rounds},
+      consensus::ConsensusConfig{.n = spec.processes,
+                                 .max_rounds = spec.max_rounds},
+      spec.game_semantics, adv, spec.max_actions, spec.seed);
+  FamilyRun run{.outcome = st.outcome,
+                .round_capped = st.game_capped || st.consensus_capped,
+                .rounds_reached = st.game_rounds,
+                .safety_ok = st.agreement && st.validity,
+                .steps = st.actions,
+                .coin_flips = st.coin_flips};
+  for (std::size_t i = 0; i < st.decisions.size(); ++i) {
+    run.rows.push_back({.returned = st.game_returned[i],
+                        .value = st.decisions[i],
+                        .round = st.decided_round[i]});
+  }
+  return run;
+}
+
+FamilyRun run_family(const TermProbeSpec& spec, sim::Adversary& adv) {
+  switch (spec.family) {
+    case Family::kConsensus: return run_consensus(spec, adv);
+    case Family::kSharedCoin: return run_coin(spec, adv);
+    case Family::kGame: return run_game(spec, adv);
+    case Family::kComposed: return run_composed(spec, adv);
+  }
+  return {};
+}
+
+/// Mixes every process row into `hash`: the fields its family fills, in
+/// process order; the sweep's consensus rows lead with the input.
+void mix_rows(Hash& hash, Family f, const FamilyRun& run, bool inputs) {
+  for (const ProcRow& row : run.rows) {
+    if (inputs) hash.mix_i(row.input);
+    if (plays_game(f)) hash.mix_i(row.returned ? 1 : 0);
+    if (f != Family::kGame) hash.mix_i(row.value);
+    hash.mix_i(row.round);
+    if (f == Family::kGame) hash.mix_i(row.exit_line);
+  }
+  if (f == Family::kComposed) hash.mix_i(run.rounds_reached);
+}
+
+/// Whether every process outside `skip` completed its protocol (returned
+/// from the game and/or decided or output a coin value), and the highest
+/// round among them.
+std::pair<bool, int> completion(Family f, const FamilyRun& run,
+                                const std::vector<sim::ProcessId>& skip) {
+  bool all = true;
+  int round = 0;
+  for (std::size_t i = 0; i < run.rows.size(); ++i) {
+    if (std::find(skip.begin(), skip.end(), static_cast<int>(i)) !=
+        skip.end()) {
+      continue;
     }
+    const ProcRow& row = run.rows[i];
+    all = all && (!plays_game(f) || row.returned) &&
+          (f == Family::kGame || row.value >= 0);
+    round = std::max(round, row.round);
   }
-  out.terminated = true;
-  for (int i = 0; i < s.processes; ++i) {
-    const std::size_t ui = static_cast<std::size_t>(i);
-    hash.mix_i(st.game_returned[ui] ? 1 : 0);
-    hash.mix_i(st.decisions[ui]);
-    hash.mix_i(st.decided_round[ui]);
-    if (is_stalled(victims, i)) continue;
-    if (!st.game_returned[ui] || st.decisions[ui] < 0) out.terminated = false;
-    out.rounds = std::max(out.rounds, st.decided_round[ui]);
+  return {all, round};
+}
+
+/// The scenario's adversary: the Theorem 6 script, a stalling adversary
+/// over `victims`, or a uniformly random one.
+std::unique_ptr<sim::Adversary> make_term_adversary(
+    const TermScenario& s, const std::vector<sim::ProcessId>& victims) {
+  if (s.adversary == TermAdversary::kScripted) {
+    return std::make_unique<game::GameScriptAdversary>(
+        game::GameConfig{.n = s.processes, .max_rounds = s.max_rounds},
+        game::CommitStrategy::kRandomOrder, adversary_seed(s));
   }
-  if (!out.terminated) out.rounds = 0;
-  hash.mix_i(st.game_rounds);
-  out.capped = st.game_capped || st.consensus_capped ||
-               st.outcome == sim::RunOutcome::kActionCap;
-  out.safety_ok = st.agreement && st.validity;
-  if (!out.safety_ok) out.detail = "composed agreement/validity violated";
-  out.coin_flips = st.coin_flips;
-  out.steps = st.actions;
+  if (victims.empty()) {
+    return std::make_unique<sim::RandomAdversary>(adversary_seed(s));
+  }
+  return std::make_unique<sim::StallingAdversary>(victims, adversary_seed(s));
 }
 
 }  // namespace
@@ -331,8 +306,7 @@ const char* to_string(TermAdversary a) noexcept {
 }
 
 bool combination_valid(Family f, TermAdversary a) noexcept {
-  if (a != TermAdversary::kScripted) return true;
-  return f == Family::kComposed || f == Family::kGame;
+  return a != TermAdversary::kScripted || plays_game(f);
 }
 
 std::string TermScenario::key() const {
@@ -351,166 +325,30 @@ std::string TermScenario::key() const {
 
 TermProbe run_term_probe(const TermProbeSpec& spec,
                          sim::Adversary& adversary) {
-  RLT_CHECK_MSG(spec.processes >= 1 && spec.processes <= 64,
-                "probe processes out of range");
-  RLT_CHECK_MSG(
-      spec.processes >= 3 || (spec.family != Family::kGame &&
-                              spec.family != Family::kComposed),
-      "the game families need >= 3 processes");
-  RLT_CHECK_MSG(spec.max_rounds >= 1, "probe round budget must be positive");
-  const int n = spec.processes;
-  const std::uint64_t cap_score =
-      static_cast<std::uint64_t>(spec.max_rounds) + 1;
+  check_shape(spec.family, spec.processes, spec.max_rounds);
+  TermProbeSpec budgeted = spec;
+  budgeted.max_actions = family_budget(spec, /*scripted=*/false);
+  const FamilyRun run = run_family(budgeted, adversary);
   TermProbe out;
   Hash hash;
   hash.mix(static_cast<std::uint64_t>(spec.family));
-  switch (spec.family) {
-    case Family::kConsensus: {
-      consensus::ConsensusConfig cfg;
-      cfg.n = n;
-      cfg.max_rounds = spec.max_rounds;
-      sim::Scheduler sched(spec.seed);
-      TermScenario inputs_key;  // reuse the scenario input derivation
-      inputs_key.processes = n;
-      inputs_key.seed = spec.seed;
-      consensus::ConsensusState st(cfg, derive_inputs(inputs_key));
-      setup_consensus(sched, cfg, sim::Semantics::kAtomic);
-      for (int i = 0; i < cfg.n; ++i) {
-        sched.add_process("c" + std::to_string(i), [&st, i](sim::Proc& p) {
-          return consensus_proc(p, st, i);
-        });
-      }
-      const sim::RunOutcome outcome = sched.run(adversary, spec.max_actions);
-      out.decided = true;
-      int max_round = 0;
-      for (int i = 0; i < cfg.n; ++i) {
-        const std::size_t ui = static_cast<std::size_t>(i);
-        hash.mix_i(st.decisions[ui]);
-        hash.mix_i(st.decided_round[ui]);
-        if (st.decisions[ui] < 0) out.decided = false;
-        max_round = std::max(max_round, st.decided_round[ui]);
-      }
-      out.capped = st.hit_round_cap || outcome == sim::RunOutcome::kActionCap;
-      out.rounds_reached = st.max_round_entered;
-      out.rounds_score = out.decided ? static_cast<std::uint64_t>(max_round)
-                         : st.hit_round_cap
-                             ? cap_score
-                             : static_cast<std::uint64_t>(out.rounds_reached);
-      out.steps = sched.actions_applied();
-      out.coin_flips = sched.coin_log().size();
-      break;
-    }
-    case Family::kSharedCoin: {
-      consensus::SharedCoinConfig cfg;
-      cfg.n = n;
-      cfg.first_reg = 0;
-      cfg.threshold_per_proc = 2;
-      sim::Scheduler sched(spec.seed);
-      setup_shared_coin(sched, cfg, sim::Semantics::kAtomic);
-      std::vector<int> outs(static_cast<std::size_t>(cfg.n), -1);
-      for (int i = 0; i < cfg.n; ++i) {
-        sched.add_process("coin" + std::to_string(i),
-                          [cfg, i, &outs](sim::Proc& p) {
-                            return coin_proc(p, cfg, i, &outs);
-                          });
-      }
-      const std::uint64_t budget =
-          std::min(spec.max_actions,
-                   static_cast<std::uint64_t>(spec.max_rounds + 2) *
-                       static_cast<std::uint64_t>(n) *
-                       static_cast<std::uint64_t>(n + 6));
-      const sim::RunOutcome outcome = sched.run(adversary, budget);
-      std::vector<int> flips(static_cast<std::size_t>(cfg.n), 0);
-      for (const sim::CoinRecord& c : sched.coin_log()) {
-        ++flips[static_cast<std::size_t>(c.process)];
-      }
-      out.decided = true;
-      int longest = 0;
-      for (int i = 0; i < cfg.n; ++i) {
-        const std::size_t ui = static_cast<std::size_t>(i);
-        hash.mix_i(outs[ui]);
-        hash.mix_i(flips[ui]);
-        if (outs[ui] < 0) out.decided = false;
-        longest = std::max(longest, flips[ui]);
-      }
-      out.capped = outcome == sim::RunOutcome::kActionCap;
-      out.rounds_reached = longest;
-      // The walk has no structural cap: the objective is the longest
-      // personal walk the adversary sustained, decided or not.
-      out.rounds_score = static_cast<std::uint64_t>(longest);
-      out.steps = sched.actions_applied();
-      out.coin_flips = sched.coin_log().size();
-      break;
-    }
-    case Family::kGame: {
-      game::GameConfig cfg;
-      cfg.n = n;
-      cfg.max_rounds = spec.max_rounds;
-      game::GameState state(cfg);
-      const std::uint64_t budget =
-          std::min(spec.max_actions,
-                   static_cast<std::uint64_t>(cfg.max_rounds + 2) *
-                       (static_cast<std::uint64_t>(cfg.n) * 400 + 4000));
-      const game::GameRunResult gr = game::run_game_adversary(
-          state, spec.game_semantics, adversary, budget, spec.seed);
-      for (int i = 0; i < cfg.n; ++i) {
-        const game::ProcStatus& p = state.procs[static_cast<std::size_t>(i)];
-        hash.mix_i(p.returned ? 1 : 0);
-        hash.mix_i(p.exit_round);
-        hash.mix_i(static_cast<int>(p.exit_line));
-      }
-      out.decided = gr.terminated;
-      out.capped = gr.capped || gr.outcome == sim::RunOutcome::kActionCap;
-      out.rounds_reached = gr.rounds_reached;
-      out.rounds_score =
-          out.decided ? static_cast<std::uint64_t>(gr.termination_round)
-          : out.capped ? cap_score
-                       : static_cast<std::uint64_t>(gr.rounds_reached);
-      out.steps = gr.actions;
-      out.coin_flips = gr.coin_flips;
-      break;
-    }
-    case Family::kComposed: {
-      game::GameConfig gc;
-      gc.n = n;
-      gc.max_rounds = spec.max_rounds;
-      consensus::ConsensusConfig cc;
-      cc.n = n;
-      cc.max_rounds = spec.max_rounds;
-      const std::uint64_t budget = std::min(
-          spec.max_actions,
-          static_cast<std::uint64_t>(gc.max_rounds + 2) *
-                  (static_cast<std::uint64_t>(gc.n) * 400 + 4000) +
-              static_cast<std::uint64_t>(cc.max_rounds + 2) *
-                  (static_cast<std::uint64_t>(gc.n) * 2000 + 8000));
-      const consensus::ComposedStats st = consensus::run_composed_adversary(
-          gc, cc, spec.game_semantics, adversary, budget, spec.seed);
-      out.decided = true;
-      int max_round = 0;
-      for (int i = 0; i < n; ++i) {
-        const std::size_t ui = static_cast<std::size_t>(i);
-        hash.mix_i(st.game_returned[ui] ? 1 : 0);
-        hash.mix_i(st.decisions[ui]);
-        hash.mix_i(st.decided_round[ui]);
-        if (!st.game_returned[ui] || st.decisions[ui] < 0) {
-          out.decided = false;
-        }
-        max_round = std::max(max_round, st.decided_round[ui]);
-      }
-      hash.mix_i(st.game_rounds);
-      out.capped = st.game_capped || st.consensus_capped ||
-                   st.outcome == sim::RunOutcome::kActionCap;
-      out.rounds_reached = st.game_rounds;
-      out.rounds_score =
-          out.decided ? static_cast<std::uint64_t>(max_round)
-          : (st.game_capped || st.consensus_capped)
-              ? cap_score
-              : static_cast<std::uint64_t>(st.game_rounds);
-      out.steps = st.actions;
-      out.coin_flips = st.coin_flips;
-      break;
-    }
-  }
+  mix_rows(hash, spec.family, run, /*inputs=*/false);
+  const auto [decided, max_round] = completion(spec.family, run, {});
+  out.decided = decided;
+  out.capped =
+      run.round_capped || run.outcome == sim::RunOutcome::kActionCap;
+  out.rounds_reached = run.rounds_reached;
+  // An undecided run scores the cap when it hit a structural round cap;
+  // the game also scores an action-capped run that way.  The coin has no
+  // structural cap, so its score is always its longest walk.
+  const bool cap_scored =
+      spec.family == Family::kGame ? out.capped : run.round_capped;
+  out.rounds_score =
+      out.decided  ? static_cast<std::uint64_t>(max_round)
+      : cap_scored ? static_cast<std::uint64_t>(spec.max_rounds) + 1
+                   : static_cast<std::uint64_t>(out.rounds_reached);
+  out.steps = run.steps;
+  out.coin_flips = run.coin_flips;
   hash.mix(out.decided ? 1 : 0);
   hash.mix(out.capped ? 1 : 0);
   hash.mix_i(out.rounds_reached);
@@ -529,33 +367,58 @@ TermRecord run_term_scenario(const TermScenario& s) {
     RLT_CHECK_MSG(combination_valid(s.family, s.adversary),
                   "the scripted adversary only drives the game-register "
                   "families (composed, game)");
-    RLT_CHECK_MSG(s.processes >= 1 && s.processes <= 64,
-                  "scenario processes out of range");
-    RLT_CHECK_MSG(
-        s.processes >= 3 || (s.family != Family::kGame &&
-                             s.family != Family::kComposed),
-        "the game families need >= 3 processes");
-    RLT_CHECK_MSG(s.max_rounds >= 1, "round budget must be positive");
+    check_shape(s.family, s.processes, s.max_rounds);
     const std::vector<sim::ProcessId> victims = stall_victims(s);
     out.stalled = static_cast<int>(victims.size());
-    switch (s.family) {
-      case Family::kConsensus:
-        run_consensus_family(s, victims, out, hash);
-        break;
-      case Family::kComposed:
-        run_composed_family(s, victims, out, hash);
-        break;
-      case Family::kSharedCoin:
-        run_coin_family(s, victims, out, hash);
-        break;
-      case Family::kGame:
-        run_game_family(s, victims, out, hash);
-        break;
+    // Scripted runs put the game registers where Theorem 6 (kGame:
+    // linearizable) or Corollary 9 (kComposed: write strongly-
+    // linearizable) puts them, with the script's budget; every other run
+    // is atomic, with the random budget.
+    const bool scripted = s.adversary == TermAdversary::kScripted;
+    TermProbeSpec spec{.family = s.family,
+                       .processes = s.processes,
+                       .max_rounds = s.max_rounds,
+                       .max_actions = s.max_actions,
+                       .seed = s.seed,
+                       .game_semantics =
+                           !scripted ? sim::Semantics::kAtomic
+                           : s.family == Family::kGame
+                               ? sim::Semantics::kLinearizable
+                               : sim::Semantics::kWriteStrong};
+    spec.max_actions = family_budget(spec, scripted);
+    const std::unique_ptr<sim::Adversary> adversary =
+        make_term_adversary(s, victims);
+    const FamilyRun run = run_family(spec, *adversary);
+    mix_rows(hash, s.family, run, s.family == Family::kConsensus);
+    // Stalled processes never run, so termination and the termination
+    // round are read over the live ones.
+    const auto [terminated, live_round] = completion(s.family, run, victims);
+    out.terminated = terminated;
+    if (terminated) out.rounds = live_round;
+    if (terminated && scripted && s.family == Family::kGame) {
+      // The script knows the round it doomed the game in.
+      const int doomed =
+          static_cast<const game::GameScriptAdversary&>(*adversary)
+              .stats()
+              .doomed_round;
+      if (doomed != 0) out.rounds = doomed;
     }
+    out.capped = run.round_capped ||
+                 run.outcome == sim::RunOutcome::kActionCap ||
+                 (s.family == Family::kGame && !out.terminated &&
+                  run.outcome == sim::RunOutcome::kStopped);
+    out.safety_ok = run.safety_ok;
+    if (!out.safety_ok) {
+      out.detail = to_string(s.family);
+      out.detail += " agreement/validity violated";
+    }
+    out.coin_flips = run.coin_flips;
+    out.steps = run.steps;
   } catch (const std::exception& e) {
     out = TermRecord{};
     out.error = true;
-    out.detail = std::string("error: ") + e.what();
+    out.detail = "error: ";
+    out.detail += e.what();
     hash = Hash{};
   } catch (...) {
     out = TermRecord{};

@@ -39,6 +39,13 @@
 //    scheduled (sim::StallingAdversary).  "Terminated" then means every
 //    LIVE process completed its protocol — the wait-freedom /
 //    fault-tolerance reading of termination.
+//
+// Each family has one driver (in term_scenario.cpp): it builds the
+// family's scheduler and processes, runs them under an adversary, an
+// action budget and the game registers' semantics, and reports one row
+// per process.  run_term_scenario and run_term_probe are two folds over
+// that result; the budgets are the named formulas in src/game/ and
+// src/consensus/.
 #pragma once
 
 #include <cstdint>
@@ -133,10 +140,13 @@ struct TermRecord {
 [[nodiscard]] TermRecord run_term_scenario(const TermScenario& s);
 
 /// One exploration probe of a term family under an external adversary.
+/// The family drivers take the same spec; the sweep builds one per
+/// scenario.
 struct TermProbeSpec {
   Family family = Family::kGame;
   int processes = 4;
   int max_rounds = 16;
+  /// Action cap, tightened by the family's own budget formula.
   std::uint64_t max_actions = 2'000'000;
   /// Scheduler seed: the coin stream.  Fixed across a search instance,
   /// so the adversary searches schedules against one coin sequence — the
@@ -166,7 +176,8 @@ struct TermProbe {
   std::uint64_t outcome_hash = 0;
 };
 
-/// Runs one probe under `adversary`.  Throws on invalid specs (the
+/// Runs one probe under `adversary`, with the family's random-schedule
+/// action budget whatever the adversary.  Throws on invalid specs (the
 /// exploration lab validates its axes up front).
 [[nodiscard]] TermProbe run_term_probe(const TermProbeSpec& spec,
                                        sim::Adversary& adversary);

@@ -5,6 +5,7 @@
 #include "consensus/composed.hpp"
 #include "consensus/rand_consensus.hpp"
 #include "sim/adversary.hpp"
+#include "util/append.hpp"
 
 namespace rlt::consensus {
 namespace {
@@ -29,7 +30,7 @@ ConsensusState run_consensus(const std::vector<int>& inputs,
   ConsensusState state(cfg, inputs);
   setup_consensus(sched, cfg, sim::Semantics::kAtomic);
   for (int i = 0; i < cfg.n; ++i) {
-    sched.add_process("c" + std::to_string(i), [&state, i](sim::Proc& p) {
+    sched.add_process(util::numbered("c", i), [&state, i](sim::Proc& p) {
       return run_consensus_proc(p, state, i);
     });
   }

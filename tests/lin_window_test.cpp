@@ -21,6 +21,7 @@
 #include "sim/adversary.hpp"
 #include "sim/regmodel.hpp"
 #include "sim/scheduler.hpp"
+#include "util/append.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -413,7 +414,7 @@ TEST(LinWindowOracle, ModelMenusMatchALinProblemReference) {
           sim::Scheduler sched(seed);
           sched.add_register(0, semantics, 0);
           for (int p = 0; p < processes; ++p) {
-            sched.add_process("p" + std::to_string(p), [p](sim::Proc& pr) {
+            sched.add_process(util::numbered("p", p), [p](sim::Proc& pr) {
               return writes_then_read(pr, p, 2);
             });
           }

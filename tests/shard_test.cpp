@@ -22,6 +22,7 @@
 #include "sweep/shard.hpp"
 #include "sweep/sweep.hpp"
 #include "term/term_sweep.hpp"
+#include "util/append.hpp"
 
 namespace rlt::sweep {
 namespace {
@@ -338,7 +339,9 @@ class ShardMergeRejection : public ::testing::Test {
       o.shard = ShardSpec{i, 3};
       StringSink s;
       (void)run_sweep(o, nullptr, &s);
-      stores.push_back({"s" + std::to_string(i) + ".jsonl", s.text()});
+      std::string name = util::numbered("s", i);
+      name += ".jsonl";
+      stores.push_back({std::move(name), s.text()});
     }
     return stores;
   }

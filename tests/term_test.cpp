@@ -1,8 +1,9 @@
 // Tests for the termination lab (src/term/): per-scenario determinism,
 // the golden termination distributions the paper promises (Theorem 6
 // scripted schedules never terminate; the composed A' always decides),
-// the termination sweep's digest guarantees, and the persisted result
-// store (canonical JSONL records, byte-stable across thread counts).
+// the explore probe's game-register semantics axis, the termination
+// sweep's digest guarantees, and the persisted result store (canonical
+// JSONL records, byte-stable across thread counts).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -10,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "game/theorem6_adversary.hpp"
+#include "sim/adversary.hpp"
 #include "sweep/store.hpp"
 #include "sweep/sweep.hpp"
 #include "term/term_scenario.hpp"
@@ -27,6 +30,37 @@ TermScenario make(Family f, TermAdversary a, std::uint64_t seed,
   s.seed = seed;
   s.max_rounds = rounds;
   return s;
+}
+
+/// Probes `f` at p4/r16 on seeds 0..9 with the game registers under
+/// `semantics`, driven by the Theorem 6 script (`scripted`) or by a
+/// uniformly random adversary.  The adversary seeds are salted as in
+/// run_scripted_game / run_random_game: a script seeded with the
+/// scheduler's own seed would commit its write order from the very
+/// stream the coin comes from, so it would always guess the coin.
+std::vector<TermProbe> probe_seeds(Family f, sim::Semantics semantics,
+                                   bool scripted) {
+  std::vector<TermProbe> out;
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    TermProbeSpec spec;
+    spec.family = f;
+    spec.processes = 4;
+    spec.max_rounds = 16;
+    spec.seed = seed;
+    spec.game_semantics = semantics;
+    if (scripted) {
+      game::GameConfig cfg;
+      cfg.n = spec.processes;
+      cfg.max_rounds = spec.max_rounds;
+      game::GameScriptAdversary adv(cfg, game::CommitStrategy::kRandomOrder,
+                                    seed ^ 0x5DEECE66DULL);
+      out.push_back(run_term_probe(spec, adv));
+    } else {
+      sim::RandomAdversary adv(seed ^ 0x9E3779B97F4A7C15ULL);
+      out.push_back(run_term_probe(spec, adv));
+    }
+  }
+  return out;
 }
 
 // ---------- scenario basics ----------
@@ -149,6 +183,39 @@ TEST(TermGolden, ConsensusAndCoinTerminateUnderStalls) {
 }
 
 // ---------- enumeration ----------
+
+// ---------- explore probe: the game-register semantics axis ----------
+
+TEST(TermProbe, ScriptNeverDecidesOnLinearizableGameRegisters) {
+  for (const Family f : {Family::kGame, Family::kComposed}) {
+    SCOPED_TRACE(to_string(f));
+    for (const TermProbe& p :
+         probe_seeds(f, sim::Semantics::kLinearizable, /*scripted=*/true)) {
+      EXPECT_FALSE(p.decided);
+      EXPECT_EQ(p.rounds_reached, 16);
+    }
+  }
+}
+
+TEST(TermProbe, ScriptDecidesOnWriteStrongGameRegisters) {
+  for (const Family f : {Family::kGame, Family::kComposed}) {
+    SCOPED_TRACE(to_string(f));
+    for (const TermProbe& p :
+         probe_seeds(f, sim::Semantics::kWriteStrong, /*scripted=*/true)) {
+      EXPECT_TRUE(p.decided);
+    }
+  }
+}
+
+TEST(TermProbe, RandomAdversaryDecidesOnAtomicGameRegisters) {
+  for (const Family f : {Family::kGame, Family::kComposed}) {
+    SCOPED_TRACE(to_string(f));
+    for (const TermProbe& p :
+         probe_seeds(f, sim::Semantics::kAtomic, /*scripted=*/false)) {
+      EXPECT_TRUE(p.decided);
+    }
+  }
+}
 
 TEST(TermEnumerate, SkipsInvalidPairsAndKeepsKeysUnique) {
   TermSweepOptions o;
