@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_set>
 
 #include "util/assert.hpp"
 
@@ -28,7 +27,7 @@ class AbdRegister::Server final : public Node {
     // Seq-keyed dedup (fault-tolerant mode only): fabric duplicates
     // carry the seq of their original and are consumed once;
     // retransmissions carry fresh seqs and are answered again.
-    if (owner_.fault_tolerant_ && !seen_.insert(m.seq).second) return;
+    if (owner_.fault_tolerant_ && !mark_seen(m.seq)) return;
     switch (m.type) {
       case kMsgWrite: {
         const std::int64_t ts = m.payload[1];
@@ -56,14 +55,25 @@ class AbdRegister::Server final : public Node {
 
   /// Crash-recovery: the dedup cache is volatile and does not survive a
   /// crash; (ts_, value_) model durable storage and are kept.
-  void reset_volatile() { seen_.clear(); }
+  void reset_volatile() { std::fill(seen_.begin(), seen_.end(), 0); }
 
  private:
+  /// Records `seq` as seen; false if it already was.  Seqs are dense
+  /// (1..Network::messages_sent()), so the set is a bitmap.
+  bool mark_seen(std::uint64_t seq) {
+    const auto word = static_cast<std::size_t>(seq / 64);
+    if (word >= seen_.size()) seen_.resize(word + 1, 0);
+    const std::uint64_t bit = std::uint64_t{1} << (seq % 64);
+    if ((seen_[word] & bit) != 0) return false;
+    seen_[word] |= bit;
+    return true;
+  }
+
   AbdRegister& owner_;
   NodeId id_ = -1;
   std::int64_t ts_ = 0;
   Value value_;
-  std::unordered_set<std::uint64_t> seen_;
+  std::vector<std::uint64_t> seen_;  ///< Bit seq % 64 of word seq / 64.
 };
 
 AbdRegister::~AbdRegister() = default;
@@ -88,7 +98,7 @@ int AbdRegister::begin_write(Value v) {
                 "ABD registers are single-writer: a write is already "
                 "pending (Observation 65)");
   write_pending_ = true;
-  const int token = next_token_++;
+  const int token = static_cast<int>(ops_.size());
   ClientOp op;
   op.kind = ClientOp::Kind::kWrite;
   op.home = writer_;
@@ -96,7 +106,7 @@ int AbdRegister::begin_write(Value v) {
   ++writer_ts_;
   op.write_ts = writer_ts_;
   op.write_value = v;
-  ops_[token] = op;
+  ops_.push_back(op);
   ++round_trips_;
   net_.broadcast(writer_, kMsgWrite, {token, writer_ts_, v});
   return token;
@@ -104,16 +114,16 @@ int AbdRegister::begin_write(Value v) {
 
 int AbdRegister::begin_read(NodeId reader) {
   RLT_CHECK(reader >= 0 && reader < n_);
-  for (const auto& [t, op] : ops_) {
+  for (const ClientOp& op : ops_) {
     RLT_CHECK_MSG(op.completed || op.abandoned || op.home != reader,
                   "node " << reader << " already has an operation pending");
   }
-  const int token = next_token_++;
+  const int token = static_cast<int>(ops_.size());
   ClientOp op;
   op.kind = ClientOp::Kind::kReadQuery;
   op.home = reader;
   op.hl = recorder_.begin_op(reader, 0, history::OpKind::kRead, 0, tick());
-  ops_[token] = op;
+  ops_.push_back(op);
   ++round_trips_;
   net_.broadcast(reader, kMsgRead, {token});
   return token;
@@ -121,9 +131,9 @@ int AbdRegister::begin_read(NodeId reader) {
 
 void AbdRegister::on_server_message(NodeId at, const Message& m) {
   const int token = static_cast<int>(m.payload[0]);
-  const auto it = ops_.find(token);
-  RLT_CHECK_MSG(it != ops_.end(), "response for unknown op token " << token);
-  ClientOp& op = it->second;
+  RLT_CHECK_MSG(token >= 0 && static_cast<std::size_t>(token) < ops_.size(),
+                "response for unknown op token " << token);
+  ClientOp& op = ops_[static_cast<std::size_t>(token)];
   if (op.completed) return;  // stale ack/reply after quorum
   if (op.abandoned) return;  // stale reply to an op killed by a crash
   RLT_CHECK_MSG(op.home == at, "response routed to the wrong node");
@@ -214,7 +224,8 @@ void AbdRegister::rebroadcast_phase(int token, const ClientOp& op) {
 
 void AbdRegister::tick_retransmit(std::uint64_t now) {
   if (!fault_tolerant_) return;
-  for (auto& [token, op] : ops_) {
+  for (std::size_t token = 0; token < ops_.size(); ++token) {
+    ClientOp& op = ops_[token];
     if (!retransmit_eligible(op)) continue;
     if (op.next_retry == 0) {
       // Arm with a seeded jittered base interval; the jitter keeps
@@ -224,7 +235,7 @@ void AbdRegister::tick_retransmit(std::uint64_t now) {
       continue;
     }
     if (now < op.next_retry) continue;
-    rebroadcast_phase(token, op);
+    rebroadcast_phase(static_cast<int>(token), op);
     ++retransmits_;
     op.retry_interval = std::min<std::uint64_t>(op.retry_interval * 2,
                                                 std::uint64_t{1} << 16);
@@ -235,7 +246,7 @@ void AbdRegister::tick_retransmit(std::uint64_t now) {
 std::optional<std::uint64_t> AbdRegister::next_retransmit_due() const {
   std::optional<std::uint64_t> due;
   if (!fault_tolerant_) return due;
-  for (const auto& [token, op] : ops_) {
+  for (const ClientOp& op : ops_) {
     if (!retransmit_eligible(op) || op.next_retry == 0) continue;
     if (!due || op.next_retry < *due) due = op.next_retry;
   }
@@ -243,7 +254,7 @@ std::optional<std::uint64_t> AbdRegister::next_retransmit_due() const {
 }
 
 void AbdRegister::abandon_ops_on(NodeId node) {
-  for (auto& [token, op] : ops_) {
+  for (ClientOp& op : ops_) {
     if (op.completed || op.abandoned || op.home != node) continue;
     op.abandoned = true;
     // The invocation stays pending in the recorded history — the
@@ -254,7 +265,7 @@ void AbdRegister::abandon_ops_on(NodeId node) {
 
 int AbdRegister::abandoned_ops() const {
   int count = 0;
-  for (const auto& [token, op] : ops_) count += op.abandoned ? 1 : 0;
+  for (const ClientOp& op : ops_) count += op.abandoned ? 1 : 0;
   return count;
 }
 
@@ -263,36 +274,27 @@ void AbdRegister::on_recover(NodeId node) {
   servers_[static_cast<std::size_t>(node)]->reset_volatile();
 }
 
-bool AbdRegister::done(int token) const {
-  const auto it = ops_.find(token);
-  RLT_CHECK(it != ops_.end());
-  return it->second.completed;
-}
+bool AbdRegister::done(int token) const { return op_at(token).completed; }
 
 Value AbdRegister::result(int token) const {
-  const auto it = ops_.find(token);
-  RLT_CHECK(it != ops_.end() && it->second.completed);
-  return it->second.result;
+  const ClientOp& op = op_at(token);
+  RLT_CHECK(op.completed);
+  return op.result;
 }
 
 int AbdRegister::pending_ops() const {
   int pending = 0;
-  for (const auto& [t, op] : ops_) pending += op.completed ? 0 : 1;
+  for (const ClientOp& op : ops_) pending += op.completed ? 0 : 1;
   return pending;
 }
 
-NodeId AbdRegister::op_node(int token) const {
-  const auto it = ops_.find(token);
-  RLT_CHECK(it != ops_.end());
-  return it->second.home;
-}
+NodeId AbdRegister::op_node(int token) const { return op_at(token).home; }
 
 bool AbdRegister::op_can_complete(int token) const {
-  const auto it = ops_.find(token);
-  RLT_CHECK(it != ops_.end());
-  if (it->second.completed) return true;
-  if (it->second.abandoned) return false;
-  return !net_.crashed(it->second.home) && net_.live_count() >= quorum();
+  const ClientOp& op = op_at(token);
+  if (op.completed) return true;
+  if (op.abandoned) return false;
+  return !net_.crashed(op.home) && net_.live_count() >= quorum();
 }
 
 }  // namespace rlt::mp

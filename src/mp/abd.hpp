@@ -18,11 +18,15 @@
 // Client operations are little state machines driven by message
 // deliveries; the driver (tests/benches) interleaves deliveries
 // adversarially or at random and may crash a minority of nodes.
+//
+// Bookkeeping is dense and allocation-free per message: ops live in a
+// vector indexed by their token (tokens count up from 0), and a server's
+// seq dedup is a bitmap indexed by seq (seqs count up from 1).
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "history/recorder.hpp"
 #include "mp/network.hpp"
@@ -203,9 +207,8 @@ class AbdRegister {
   };
 
   [[nodiscard]] const ClientOp& op_at(int token) const {
-    const auto it = ops_.find(token);
-    RLT_CHECK(it != ops_.end());
-    return it->second;
+    RLT_CHECK(token >= 0 && static_cast<std::size_t>(token) < ops_.size());
+    return ops_[static_cast<std::size_t>(token)];
   }
 
   void on_server_message(NodeId at, const Message& m);
@@ -220,8 +223,7 @@ class AbdRegister {
   std::vector<std::unique_ptr<Server>> servers_;
   history::Recorder recorder_;
   history::Time clock_ = 0;
-  std::map<int, ClientOp> ops_;  ///< token -> op
-  int next_token_ = 0;
+  std::vector<ClientOp> ops_;  ///< Indexed by token.
   std::int64_t writer_ts_ = 0;
   bool write_pending_ = false;
   bool read_write_back_ = true;

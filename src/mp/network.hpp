@@ -11,9 +11,19 @@
 // linearizable SWMR registers when fewer than half the nodes crash
 // [Attiya, Bar-Noy, Dolev 1995]; every fault decision flows through a
 // seeded Rng, so runs stay byte-deterministic.
+//
+// The network allocates nothing per message: a payload is at most
+// Payload::kCapacity words stored inline, so a Message is trivially
+// copyable and the in-flight vector erases by memmove.  Liveness is a
+// counter kept by crash/recover, so live_count() is O(1).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -24,15 +34,47 @@ namespace rlt::mp {
 
 using NodeId = int;
 
+/// A message payload: up to kCapacity words stored inline (ABD's whole
+/// grammar fits; a longer payload fails an invariant check).
+class Payload {
+ public:
+  static constexpr std::size_t kCapacity = 3;
+
+  Payload() = default;
+  Payload(std::initializer_list<std::int64_t> words) : size_(words.size()) {
+    RLT_CHECK_MSG(words.size() <= kCapacity,
+                  "payload of " << words.size() << " words exceeds the "
+                                << kCapacity << "-word inline capacity");
+    std::copy(words.begin(), words.end(), words_.begin());
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] std::int64_t operator[](std::size_t i) const noexcept {
+    return words_[i];
+  }
+  [[nodiscard]] std::span<const std::int64_t> words() const noexcept {
+    return {words_.data(), size_};
+  }
+  friend bool operator==(const Payload& a,
+                         std::span<const std::int64_t> b) noexcept {
+    return std::ranges::equal(a.words(), b);
+  }
+
+ private:
+  std::array<std::int64_t, kCapacity> words_{};
+  std::size_t size_ = 0;
+};
+
 /// A protocol message.  `type` and `payload` semantics belong to the
 /// protocol (see abd.cpp for ABD's message grammar).
 struct Message {
   NodeId from = -1;
   NodeId to = -1;
   std::int64_t type = 0;
-  std::vector<std::int64_t> payload;
+  Payload payload;
   std::uint64_t seq = 0;  ///< Global send sequence number (determinism).
 };
+static_assert(std::is_trivially_copyable_v<Message>);
 
 /// Message handler interface implemented by protocol nodes.
 class Node {
@@ -88,8 +130,7 @@ class Network {
   /// is one send *attempt*: scheduled mid-broadcast crashes fire by
   /// attempt number, BEFORE the attempt enqueues, so a crash scheduled
   /// inside a broadcast lets exactly the earlier sends through.
-  void send(NodeId from, NodeId to, std::int64_t type,
-            std::vector<std::int64_t> payload) {
+  void send(NodeId from, NodeId to, std::int64_t type, Payload payload) {
     RLT_CHECK(valid(from) && valid(to));
     ++send_attempts_;
     while (next_send_crash_ < send_crashes_.size() &&
@@ -102,16 +143,15 @@ class Network {
     m.from = from;
     m.to = to;
     m.type = type;
-    m.payload = std::move(payload);
+    m.payload = payload;
     m.seq = ++sent_;
     bytes_sent_ += wire_bytes(m);
     if (observer_ != nullptr) observer_->on_send(m);
-    in_flight_.push_back(std::move(m));
+    in_flight_.push_back(m);
   }
 
   /// Queues a message to every node (including the sender).
-  void broadcast(NodeId from, std::int64_t type,
-                 const std::vector<std::int64_t>& payload) {
+  void broadcast(NodeId from, std::int64_t type, const Payload& payload) {
     for (NodeId to = 0; to < node_count(); ++to) {
       send(from, to, type, payload);
     }
@@ -235,10 +275,15 @@ class Network {
     return true;
   }
 
-  /// Crashes a node (permanently, unless recover() is called).
+  /// Crashes a node (permanently, unless recover() is called).  Crashing
+  /// a crashed node (a scheduled send-crash can hit one) changes nothing
+  /// but still notifies the observer.
   void crash(NodeId n) {
     RLT_CHECK(valid(n));
-    crashed_[static_cast<std::size_t>(n)] = true;
+    if (!crashed_[static_cast<std::size_t>(n)]) {
+      crashed_[static_cast<std::size_t>(n)] = true;
+      ++crashed_count_;
+    }
     if (observer_ != nullptr) observer_->on_crash(n);
   }
 
@@ -260,6 +305,7 @@ class Network {
     RLT_CHECK(valid(n));
     RLT_CHECK(crashed_[static_cast<std::size_t>(n)]);
     crashed_[static_cast<std::size_t>(n)] = false;
+    --crashed_count_;
     if (observer_ != nullptr) observer_->on_recover(n);
   }
 
@@ -267,14 +313,10 @@ class Network {
     RLT_CHECK(valid(n));
     return crashed_[static_cast<std::size_t>(n)];
   }
-  [[nodiscard]] int crashed_count() const {
-    int c = 0;
-    for (const bool b : crashed_) c += b ? 1 : 0;
-    return c;
-  }
+  [[nodiscard]] int crashed_count() const noexcept { return crashed_count_; }
   /// Nodes still alive — the population quorum-based protocols can draw
   /// replies from (crashed nodes consume requests without answering).
-  [[nodiscard]] int live_count() const {
+  [[nodiscard]] int live_count() const noexcept {
     return node_count() - crashed_count();
   }
 
@@ -292,9 +334,11 @@ class Network {
                                side_[static_cast<std::size_t>(to)];
   }
 
+  /// Removes the message at `index`, keeping the rest in send order (a
+  /// memmove: Message is trivially copyable).
   Message take_at(std::size_t index) {
     RLT_CHECK(index < in_flight_.size());
-    Message m = std::move(in_flight_[index]);
+    const Message m = in_flight_[index];
     in_flight_.erase(in_flight_.begin() +
                      static_cast<std::ptrdiff_t>(index));
     return m;
@@ -303,6 +347,7 @@ class Network {
   std::vector<Node*> nodes_;
   NetObserver* observer_ = nullptr;
   std::vector<bool> crashed_;
+  int crashed_count_ = 0;
   std::vector<std::uint8_t> side_;
   std::vector<Message> in_flight_;
   std::vector<std::pair<std::uint64_t, NodeId>> send_crashes_;

@@ -602,6 +602,7 @@ void run_abd(const Scenario& s, sim::SchedulePolicy* policy,
   RunEnd end = RunEnd::kCompleted;
   std::string end_detail;
   std::vector<obs::LedgerEntry> ledger;
+  std::vector<int> startable;  // refilled every iteration
   for (;;) {
     // Partition cut/heal due at this moment.
     if (fab.has_partition) {
@@ -679,7 +680,7 @@ void run_abd(const Scenario& s, sim::SchedulePolicy* policy,
     for (Program& pr : prog) {
       if (pr.token >= 0 && reg.done(pr.token)) pr.token = -1;
     }
-    std::vector<int> startable;
+    startable.clear();
     for (int n = 0; n < s.processes; ++n) {
       if (!net.crashed(n) && idle_with_work(n)) startable.push_back(n);
     }

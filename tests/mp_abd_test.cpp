@@ -403,6 +403,53 @@ TEST(Network, AdversarialDropAndDuplicateTargetChosenEnvelopes) {
   EXPECT_EQ(b.received[1].type, 2);
 }
 
+TEST(Network, PayloadsLongerThanTheInlineCapacityAreRejected) {
+  Network net;
+  EchoNode a;
+  const NodeId ia = net.add_node(a);
+  net.send(ia, ia, 1, {1, 2, 3});  // ABD's longest message fits
+  EXPECT_THROW(net.send(ia, ia, 1, {1, 2, 3, 4}), util::InvariantViolation);
+  EXPECT_EQ(net.in_flight(), 1u);
+  EXPECT_EQ(net.messages_sent(), 1u);
+}
+
+TEST(Network, CrashingACrashedNodeCountsOnce) {
+  Network net;
+  EchoNode nodes[3];
+  for (EchoNode& n : nodes) net.add_node(n);
+  net.crash(1);
+  net.crash(1);  // e.g. a scheduled send-crash landing on a dead node
+  EXPECT_EQ(net.crashed_count(), 1);
+  EXPECT_EQ(net.live_count(), 2);
+  net.recover(1);
+  EXPECT_EQ(net.crashed_count(), 0);
+  EXPECT_EQ(net.live_count(), 3);
+  EXPECT_THROW(net.recover(1), util::InvariantViolation);
+  EXPECT_EQ(net.live_count(), 3);
+}
+
+TEST(Network, DeliveringFromTheMiddleKeepsTheRestInSendOrder) {
+  Network net;
+  EchoNode a;
+  EchoNode b;
+  const NodeId ia = net.add_node(a);
+  const NodeId ib = net.add_node(b);
+  for (std::int64_t t = 1; t <= 5; ++t) net.send(ia, ib, t, {t, 10 * t});
+  net.deliver_at(2);
+  ASSERT_EQ(b.received.size(), 1u);
+  EXPECT_EQ(b.received[0].type, 3);
+  EXPECT_EQ(b.received[0].payload, (std::vector<std::int64_t>{3, 30}));
+  const std::vector<Message>& rest = net.in_flight_messages();
+  ASSERT_EQ(rest.size(), 4u);
+  const std::int64_t expected[] = {1, 2, 4, 5};
+  for (std::size_t i = 0; i < rest.size(); ++i) {
+    EXPECT_EQ(rest[i].type, expected[i]);
+    EXPECT_EQ(rest[i].seq, static_cast<std::uint64_t>(expected[i]));
+    EXPECT_EQ(rest[i].payload,
+              (std::vector<std::int64_t>{expected[i], 10 * expected[i]}));
+  }
+}
+
 /// Drives a fault-tolerant register until the op completes, advancing a
 /// logical clock so retransmission timers fire; mirrors the sweep
 /// driver's loop (deliver when possible, otherwise fast-forward to the
@@ -458,6 +505,39 @@ TEST(Abd, ServerDedupConsumesFabricDuplicatesOnce) {
   EXPECT_GT(net.messages_duplicated(), 0u);
   const auto lin = checker::check_linearizable(reg.hl_history());
   EXPECT_TRUE(lin.ok) << lin.error << '\n' << reg.hl_history().to_string();
+}
+
+TEST(Abd, ServerDedupDropsARepeatedSeqUntilRecovery) {
+  Network net;
+  AbdRegister reg(net, 3, 0, 0);
+  reg.enable_fault_tolerance(/*seed=*/24);
+  // Twelve reliable writes (6 messages each) push the seqs past one
+  // 64-bit word of the servers' dedup bitmaps.
+  util::Rng rng(25);
+  for (int i = 0; i < 12; ++i) {
+    const int w = reg.begin_write(i);
+    while (net.deliver_random(rng)) {
+    }
+    ASSERT_TRUE(reg.done(w));
+  }
+  reg.begin_read(1);  // READ to servers 0, 1, 2
+  ASSERT_EQ(net.in_flight(), 3u);
+  const std::uint64_t read_seq = net.in_flight_messages()[0].seq;
+  EXPECT_GT(read_seq, 64u);
+  net.duplicate_at(0);  // two copies of server 0's READ, same seq
+  net.duplicate_at(0);
+  net.deliver_at(0);    // the original: server 0 replies
+  const std::uint64_t sent = net.messages_sent();
+  // In flight: READs to servers 1 and 2, the two copies, the reply.
+  ASSERT_EQ(net.in_flight_messages()[2].seq, read_seq);
+  net.deliver_at(2);  // a copy: consumed without a reply
+  EXPECT_EQ(net.messages_sent(), sent);
+  net.crash(0);
+  net.recover(0);
+  reg.on_recover(0);  // the dedup cache is volatile
+  ASSERT_EQ(net.in_flight_messages()[2].seq, read_seq);
+  net.deliver_at(2);  // the same seq is answered again
+  EXPECT_EQ(net.messages_sent(), sent + 1);
 }
 
 TEST(Abd, AbandonedOpsNeverCompleteOrRetransmit) {
