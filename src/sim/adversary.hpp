@@ -21,13 +21,41 @@ class RandomAdversary final : public Adversary {
  public:
   explicit RandomAdversary(std::uint64_t seed) : rng_(seed) {}
 
+  /// Draws one index into the enabled_actions() order (runnable
+  /// processes by id, then each pending op's choices in op-id order)
+  /// and builds only that action, without copying the whole menu.
   std::optional<Action> choose(Scheduler& sched) override {
-    std::vector<Action> actions = sched.enabled_actions();
-    if (actions.empty()) return std::nullopt;
-    return actions[rng_.uniform(actions.size())];
+    const int n = sched.process_count();
+    const std::vector<PendingOpInfo> pending = sched.pending_ops();
+    std::uint64_t total = 0;
+    for (ProcessId p = 0; p < n; ++p) total += runnable(sched, p) ? 1 : 0;
+    for (const PendingOpInfo& info : pending) {
+      total += sched.choices_for(info.op_id).size();
+    }
+    if (total == 0) return std::nullopt;
+    std::uint64_t k = rng_.uniform(total);
+    for (ProcessId p = 0; p < n; ++p) {
+      if (!runnable(sched, p)) continue;
+      if (k == 0) return Action::step(p);
+      --k;
+    }
+    for (const PendingOpInfo& info : pending) {
+      const std::vector<ResponseChoice>& choices = sched.choices_for(info.op_id);
+      if (k < choices.size()) {
+        return Action::respond(info.process, info.op_id,
+                               choices[static_cast<std::size_t>(k)]);
+      }
+      k -= choices.size();
+    }
+    RLT_CHECK_MSG(false, "drawn action index outside the enabled menu");
+    return std::nullopt;
   }
 
  private:
+  [[nodiscard]] static bool runnable(const Scheduler& sched, ProcessId p) {
+    return !sched.process_done(p) && !sched.process_blocked(p);
+  }
+
   util::Rng rng_;
 };
 
