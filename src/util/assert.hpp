@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace rlt::util {
 
@@ -20,10 +21,24 @@ class InvariantViolation : public std::logic_error {
       : std::logic_error(what) {}
 };
 
+/// `file` relative to the source tree: the prefix this header's own path
+/// has before "src/util/assert.hpp" is cut off, so a failure message (and
+/// any stored record that carries it) names the same file in every
+/// checkout and build directory.  Paths outside the tree are kept whole.
+[[nodiscard]] inline std::string_view source_relative(
+    std::string_view file) noexcept {
+  constexpr std::string_view self = __FILE__;
+  constexpr std::string_view tail = "src/util/assert.hpp";
+  if (!self.ends_with(tail)) return file;
+  const std::string_view root = self.substr(0, self.size() - tail.size());
+  return file.starts_with(root) ? file.substr(root.size()) : file;
+}
+
 [[noreturn]] inline void invariant_failure(const char* expr, const char* file,
                                            int line, const std::string& msg) {
   std::ostringstream os;
-  os << "invariant violated: " << expr << " at " << file << ':' << line;
+  os << "invariant violated: " << expr << " at " << source_relative(file)
+     << ':' << line;
   if (!msg.empty()) os << " — " << msg;
   throw InvariantViolation(os.str());
 }
