@@ -40,7 +40,7 @@ class RandomAdversary final : public Adversary {
       --k;
     }
     for (const PendingOpInfo& info : pending) {
-      const std::vector<ResponseChoice>& choices = sched.choices_for(info.op_id);
+      const auto& choices = sched.choices_for(info.op_id);
       if (k < choices.size()) {
         return Action::respond(info.process, info.op_id,
                                choices[static_cast<std::size_t>(k)]);
